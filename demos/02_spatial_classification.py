@@ -4,26 +4,40 @@ The screen splits into four quadrants at its center: the lower half
 (Q3/Q4) carries the game stimuli, the upper half (Q1/Q2) the menu.
 Gaze additionally classifies against a rectangle centered on the
 currently shown object: the left or right area of interest.
+
+classify_session labels a whole session at once and returns int8 code
+arrays; QUADRANT_ORDER and AOI_ORDER turn codes back into labels.
 """
 from gazescore import (
+    GazeSample,
+    LevelSession,
     ObjectPlacement,
     ScreenGeometry,
     aoi_bounds,
-    classify_aoi,
-    quadrant_of,
+    classify_session,
 )
+from gazescore.spatial import AOI_ORDER, QUADRANT_ORDER
 
 geometry = ScreenGeometry()  # y grows downward on screen
 
+
+def session(points, placements=()):
+    """One sample per point, 16 ms apart, with the given placements."""
+    samples = tuple(GazeSample(16 * i, x, y) for i, (x, y) in enumerate(points))
+    return LevelSession("demo", 1, samples, (), tuple(placements), geometry)
+
+
 print("1. Quadrants (screen coordinates, stimuli in the visually lower half):")
-for x, y, where in [
+corners = [
     (100, 100, "upper left"),
     (1500, 100, "upper right"),
     (100, 900, "lower left"),
     (1500, 900, "lower right"),
     (960, 540, "dead center"),
-]:
-    q = quadrant_of(x, y, geometry)
+]
+quadrants, _ = classify_session(session([(x, y) for x, y, _ in corners]))
+for (x, y, where), code in zip(corners, quadrants):
+    q = QUADRANT_ORDER[code]
     role = "stimulus" if q.is_stimulus else "menu"
     print(f"   ({x:>4}, {y:>4}) {where:12} -> {q.value} ({role})")
 
@@ -42,5 +56,5 @@ for gx, gy, obj, tag in [
     (1440, 812, right_obj, "inside the right object's box"),
     (480, 812, None, "no object on screen"),
 ]:
-    label = classify_aoi(gx, gy, obj, geometry)
-    print(f"   gaze ({gx:>4}, {gy:>4}), {tag:32} -> {label.value}")
+    _, aois = classify_session(session([(gx, gy)], [obj] if obj else []))
+    print(f"   gaze ({gx:>4}, {gy:>4}), {tag:32} -> {AOI_ORDER[aois[0]].value}")

@@ -49,9 +49,7 @@ from .spatial import (
     Quadrant,
     ScreenGeometry,
     aoi_bounds,
-    classify_aoi,
     classify_session,
-    quadrant_of,
 )
 from .synth import SynthProfile, generate_session, generate_table_fixture, write_session_set
 from .transitions import (

@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 data schema, 5 configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import re
 import sys
@@ -21,7 +20,7 @@ from .ingest import (
 )
 from .pipeline import analyze_student
 from .report import build_report, emit_plot_data, write_report
-from .scoring import ConfigError, ScoringConfig
+from .scoring import ConfigError, ScoringConfig, read_config_json
 from .spatial import ScreenGeometry
 from .synth import ProfileError, SynthProfile, generate_session, generate_table_fixture, write_session_set
 from .validation import mae
@@ -67,15 +66,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
-    data: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        data.update(loaded)
+    data = read_config_json(args.config) if args.config else {}
     valid = {f.name for f in fields(ScoringConfig)}
     for name in valid:
         value = getattr(args, name, None)

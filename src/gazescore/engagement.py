@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .spatial import AoiLabel
+import numpy as np
+
+from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, label_codes
 
 MIN_DURATION_MS = 400
 SUSTAINED_MS = 2500
@@ -38,73 +40,73 @@ class TemporalMetrics:
     session_duration_ms: int
 
 
+def _labeled_columns(
+    labeled_samples: Sequence[tuple[int, AoiLabel]] | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(labeled_samples, np.ndarray):
+        rows = labeled_samples.reshape(-1, 2)
+        return rows[:, 0], rows[:, 1]
+    t = np.array([t_ms for t_ms, _ in labeled_samples], dtype=np.int64)
+    return t, label_codes([label for _, label in labeled_samples], AOI_ORDER)
+
+
 def detect_engagement_periods(
-    labeled_samples: Sequence[tuple[int, AoiLabel]],
+    labeled_samples: Sequence[tuple[int, AoiLabel]] | np.ndarray,
     min_duration_ms: int = MIN_DURATION_MS,
     sustained_ms: int = SUSTAINED_MS,
     gap_tolerance_ms: int = 0,
 ) -> list[EngagementPeriod]:
     """Maximal same-AoI runs with span >= min_duration_ms, time ordered.
 
-    Any sample with a different label ends the run. With a positive
-    ``gap_tolerance_ms``, outside-labeled interruptions no longer than
-    the tolerance are bridged (for data with tracker dropouts); a switch
-    to the other AoI always terminates. Default tolerance is 0, the
-    strict reading.
+    ``labeled_samples`` holds time-sorted ``(t_ms, AoiLabel)`` pairs, or
+    is an (n, 2) integer array of ``(t_ms, AOI_ORDER code)`` rows. Any
+    sample with a different label ends the run. With a positive
+    ``gap_tolerance_ms``, an outside-labeled interruption is bridged
+    (for data with tracker dropouts) when the same side resumes no later
+    than the tolerance after the last in-AoI sample; a switch to the
+    other AoI always terminates. Default tolerance is 0, the strict
+    reading.
     """
     if min_duration_ms > sustained_ms:
         raise ValueError(
             f"minimum duration {min_duration_ms} exceeds sustained threshold {sustained_ms}"
         )
-    periods: list[EngagementPeriod] = []
-    side: AoiLabel | None = None
-    run_start = 0
-    run_last = 0
-
-    def close_run() -> None:
-        if side is not None and run_last - run_start >= min_duration_ms:
-            periods.append(
-                EngagementPeriod(
-                    t_start_ms=run_start,
-                    t_end_ms=run_last,
-                    aoi=side,
-                    sustained=(run_last - run_start) >= sustained_ms,
-                )
-            )
-
-    i = 0
-    n = len(labeled_samples)
-    while i < n:
-        t, label = labeled_samples[i]
-        if label is AoiLabel.OUTSIDE:
-            if side is not None and gap_tolerance_ms > 0:
-                # Bridge a short dropout if the same side resumes in time.
-                j = i
-                while (
-                    j < n
-                    and labeled_samples[j][1] is AoiLabel.OUTSIDE
-                    and labeled_samples[j][0] - run_last <= gap_tolerance_ms
-                ):
-                    j += 1
-                if (
-                    j < n
-                    and labeled_samples[j][1] is side
-                    and labeled_samples[j][0] - run_last <= gap_tolerance_ms
-                ):
-                    i = j
-                    continue
-            close_run()
-            side = None
-        elif label is side:
-            run_last = t
-        else:
-            close_run()
-            side = label
-            run_start = t
-            run_last = t
-        i += 1
-    close_run()
-    return periods
+    t, codes = _labeled_columns(labeled_samples)
+    if len(t) == 0:
+        return []
+    # Run-length encoding: run r covers samples first[r]..last[r].
+    first = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
+    last = np.concatenate((first[1:] - 1, [len(t) - 1]))
+    run_codes = codes[first]
+    inside = np.flatnonzero(run_codes != OUTSIDE_CODE)
+    if len(inside) == 0:
+        return []
+    # joined[r]: in-AoI run r extends the period of run r - 2 across the
+    # outside run between them.
+    joined = np.zeros(len(first), dtype=bool)
+    if gap_tolerance_ms > 0:
+        joined[2:] = (
+            (run_codes[1:-1] == OUTSIDE_CODE)
+            & (run_codes[2:] == run_codes[:-2])
+            & (t[first[2:]] - t[last[:-2]] <= gap_tolerance_ms)
+        )
+    opens = ~joined[inside]
+    start_run = inside[opens]
+    end_run = inside[np.concatenate((opens[1:], [True]))]
+    t_start = t[first[start_run]]
+    t_end = t[last[end_run]]
+    keep = t_end - t_start >= min_duration_ms
+    return [
+        EngagementPeriod(
+            t_start_ms=start,
+            t_end_ms=end,
+            aoi=AOI_ORDER[code],
+            sustained=end - start >= sustained_ms,
+        )
+        for start, end, code in zip(
+            t_start[keep].tolist(), t_end[keep].tolist(), run_codes[start_run[keep]].tolist()
+        )
+    ]
 
 
 def classify_sustained(

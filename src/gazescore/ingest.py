@@ -35,6 +35,8 @@ CSV_HEADER = [
 
 VALID_LEVELS = (1, 2, 3)
 
+MAX_ABS_TIMESTAMP_MS = 2**62
+
 EVENT_KINDS_SCORED = ("mouse_click", "answer")
 
 _COORD_RE = re.compile(
@@ -111,9 +113,9 @@ class ObjectPlacement:
     aoi_h_px: float
 
     def __post_init__(self) -> None:
-        if self.aoi_w_px <= 0 or self.aoi_h_px <= 0:
+        if not (0 < self.aoi_w_px < math.inf and 0 < self.aoi_h_px < math.inf):
             raise ValueError(
-                f"AoI dimensions must be positive, got {self.aoi_w_px}x{self.aoi_h_px}"
+                f"AoI dimensions must be positive and finite, got {self.aoi_w_px}x{self.aoi_h_px}"
             )
 
 
@@ -230,13 +232,17 @@ def normalize_timestamps(samples: Sequence[GazeSample]) -> list[GazeSample]:
 
 
 def _parse_timestamp(text: str) -> int | None:
+    """Integer ms, or None for a blank, unparsable, non-finite or
+    out-of-range value. The range keeps every normalized time and time
+    difference inside the int64 columns of the analysis."""
     text = text.strip()
     if not text:
         return None
     try:
-        return _round_half_up(float(text))
+        value = float(text)
     except ValueError:
         return None
+    return _round_half_up(value) if abs(value) < MAX_ABS_TIMESTAMP_MS else None
 
 
 def _parse_bool(text: str) -> bool | None:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engagement import (
     EngagementPeriod,
     TemporalMetrics,
@@ -17,7 +19,7 @@ from .scoring import (
     check_constraints,
     final_score,
 )
-from .spatial import AoiLabel, Quadrant, classify_session
+from .spatial import classify_session, sample_columns
 from .transitions import (
     AoITransitionMatrix,
     AoiMetrics,
@@ -37,11 +39,15 @@ from .validation import GamePerformance, ValidationReport, game_accuracy, valida
 
 @dataclass(frozen=True)
 class SessionAnalysis:
-    """Everything derived from one level session."""
+    """Everything derived from one level session.
+
+    The labels are read-only int8 code arrays, one code per sample, in
+    ``QUADRANT_ORDER`` and ``AOI_ORDER`` index order.
+    """
 
     session: LevelSession
-    quadrant_labels: tuple[Quadrant, ...]
-    aoi_labels: tuple[AoiLabel, ...]
+    quadrant_labels: np.ndarray
+    aoi_labels: np.ndarray
     quadrant_matrix: QuadrantTransitionMatrix
     aggregates: TransitionAggregates
     aoi_matrix: AoITransitionMatrix
@@ -59,16 +65,16 @@ def analyze_session(
     session: LevelSession, config: ScoringConfig = ScoringConfig()
 ) -> SessionAnalysis:
     """Run the full pipeline on one session and return every artifact."""
-    quadrants, aois = classify_session(session)
+    columns = sample_columns(session.samples)
+    t = columns[0]
+    quadrants, aois = classify_session(session, columns)
     quadrant_matrix = build_quadrant_matrix(quadrants)
     aggregates = aggregate_transitions(quadrant_matrix)
     aoi_matrix = build_aoi_matrix(aois)
     aoi_stats = aoi_metrics(aoi_matrix, changes_only=config.aoi_total_changes_only)
-    dwell = dwell_summary(session.samples, quadrants)
-
-    labeled = [(s.t_ms, a) for s, a in zip(session.samples, aois)]
+    dwell = dwell_summary(t, quadrants)
     periods = detect_engagement_periods(
-        labeled,
+        np.column_stack((t, aois)),
         min_duration_ms=config.tau_min_ms,
         sustained_ms=config.tau_sustained_ms,
         gap_tolerance_ms=config.gap_tolerance_ms,
@@ -86,7 +92,7 @@ def analyze_session(
         aoi_efficiency=aoi_stats.efficiency,
         sf_pct=dwell.stimuli_focus_pct,
         temporal=temporal,
-        aoi_time_share_pct=aoi_time_share_pct(session.samples, aois),
+        aoi_time_share_pct=aoi_time_share_pct(t, aois),
     )
     breakdown = final_score(features, config)
     violations = check_constraints(breakdown, dwell, config)
@@ -94,8 +100,8 @@ def analyze_session(
 
     return SessionAnalysis(
         session=session,
-        quadrant_labels=tuple(quadrants),
-        aoi_labels=tuple(aois),
+        quadrant_labels=quadrants,
+        aoi_labels=aois,
         quadrant_matrix=quadrant_matrix,
         aggregates=aggregates,
         aoi_matrix=aoi_matrix,

@@ -16,7 +16,7 @@ from typing import Sequence
 from .pipeline import SessionAnalysis
 from .validation import ValidationReport, classify_assessment
 from .scoring import ScoringConfig
-from .transitions import AOI_ORDER, QUADRANT_ORDER
+from .spatial import AOI_ORDER, QUADRANT_ORDER
 
 VALIDATION_NOTE = (
     "Correlations are computed from the per-level (model score, game accuracy) "
@@ -171,13 +171,17 @@ def emit_plot_data(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     ordered = sorted(analyses, key=lambda a: a.session.level)
+    quadrant_values = [q.value for q in QUADRANT_ORDER]
+    aoi_values = [a.value for a in AOI_ORDER]
 
     for analysis in ordered:
         level = analysis.session.level
         sample_rows = [
-            [s.t_ms, s.x_px, s.y_px, q.value, a.value]
+            [s.t_ms, s.x_px, s.y_px, quadrant_values[q], aoi_values[a]]
             for s, q, a in zip(
-                analysis.session.samples, analysis.quadrant_labels, analysis.aoi_labels
+                analysis.session.samples,
+                analysis.quadrant_labels.tolist(),
+                analysis.aoi_labels.tolist(),
             )
         ]
         sample_path = out_dir / f"samples_level{level}.csv"

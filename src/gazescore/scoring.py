@@ -114,18 +114,30 @@ class ScoringConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScoringConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON in {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_json(path))
+
+
+def read_config_json(path: str | Path) -> dict:
+    """The JSON object in a config file; any failure is a ConfigError."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return data
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ to an object-centered area of interest (AoI) when a placement is active.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
-    from .ingest import LevelSession, ObjectPlacement
+    from .ingest import GazeSample, LevelSession, ObjectPlacement
 
 
 class Quadrant(Enum):
@@ -37,6 +38,14 @@ class AoiLabel(Enum):
     OUTSIDE = "outside"
 
 
+# Labels travel as int8 codes: the index of the label in these tuples.
+QUADRANT_ORDER = tuple(Quadrant)
+AOI_ORDER = tuple(AoiLabel)
+LEFT_CODE = AOI_ORDER.index(AoiLabel.LEFT)
+RIGHT_CODE = AOI_ORDER.index(AoiLabel.RIGHT)
+OUTSIDE_CODE = AOI_ORDER.index(AoiLabel.OUTSIDE)
+
+
 @dataclass(frozen=True)
 class ScreenGeometry:
     """Screen dimensions plus the vertical axis convention.
@@ -59,21 +68,6 @@ class ScreenGeometry:
             )
 
 
-def quadrant_of(x: float, y: float, geometry: ScreenGeometry) -> Quadrant:
-    """Quadrant containing (x, y).
-
-    Callers are expected to pass cleaned coordinates inside
-    [0, W] x [0, H]; out-of-range input is a contract violation and is
-    classified by the same case analysis without checks.
-    """
-    w, h = geometry.width_px, geometry.height_px
-    if not geometry.y_up:
-        y = h - y
-    if x < w / 2:
-        return Quadrant.Q1 if y > h / 2 else Quadrant.Q3
-    return Quadrant.Q2 if y > h / 2 else Quadrant.Q4
-
-
 @dataclass(frozen=True)
 class AoiRect:
     """Axis-aligned AoI rectangle, closed on all edges."""
@@ -83,8 +77,9 @@ class AoiRect:
     y_min: float
     y_max: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Membership of a point, or elementwise for array fields/points."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
 
 def aoi_bounds(placement: ObjectPlacement) -> AoiRect:
@@ -103,57 +98,66 @@ def aoi_bounds(placement: ObjectPlacement) -> AoiRect:
     )
 
 
-def classify_aoi(
-    x: float,
-    y: float,
-    placement: ObjectPlacement | None,
-    geometry: ScreenGeometry,
-) -> AoiLabel:
-    """AoI label for a gaze point against the active placement.
-
-    The side is decided by the object's horizontal position, not the
-    gaze point's: an object left of the screen midline defines the left
-    AoI. With no active placement every point is outside.
-    """
-    if placement is None:
-        return AoiLabel.OUTSIDE
-    if not aoi_bounds(placement).contains(x, y):
-        return AoiLabel.OUTSIDE
-    if placement.obj_x_px < geometry.width_px / 2:
-        return AoiLabel.LEFT
-    return AoiLabel.RIGHT
+def label_codes(labels: Sequence[Enum] | np.ndarray, order: tuple[Enum, ...]) -> np.ndarray:
+    """Label codes (index into ``order``) from Enum labels; arrays pass through."""
+    if isinstance(labels, np.ndarray):
+        return labels
+    index = {label: code for code, label in enumerate(order)}
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.int8, count=len(labels))
 
 
-def active_placement(
-    placements: Sequence[ObjectPlacement], t_ms: int
-) -> ObjectPlacement | None:
-    """Most recent placement with t_ms <= the query time (step function).
+def sample_times(samples: Sequence[GazeSample] | np.ndarray) -> np.ndarray:
+    """int64 timestamps of the samples; an array is taken as the timestamps."""
+    if isinstance(samples, np.ndarray):
+        return samples.astype(np.int64, copy=False)
+    return np.array([s.t_ms for s in samples], dtype=np.int64)
 
-    ``placements`` must be sorted by t_ms.
-    """
-    times = [p.t_ms for p in placements]
-    idx = bisect_right(times, t_ms)
-    return placements[idx - 1] if idx else None
+
+def sample_columns(
+    samples: Sequence[GazeSample],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t (int64), x and y (float64) columns of a sample sequence."""
+    return (
+        sample_times(samples),
+        np.array([s.x_px for s in samples], dtype=np.float64),
+        np.array([s.y_px for s in samples], dtype=np.float64),
+    )
 
 
 def classify_session(
     session: LevelSession,
-) -> tuple[list[Quadrant], list[AoiLabel]]:
-    """Per-sample quadrant and AoI labels for a whole session.
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample quadrant and AoI codes (int8, read-only) for a session.
 
-    Placements are resolved with step-function semantics; samples and
-    placements are both time-sorted, so a single forward walk suffices.
+    ``columns`` are the session's ``sample_columns`` if the caller has
+    them. Quadrants split the screen at its center (y above H/2 in the
+    y-up frame is the upper menu half). A sample's AoI is judged against
+    the most recent placement with t_ms <= its time (step function over
+    time-sorted placements); the side comes from the object's horizontal
+    position, not the gaze point's. With no active placement a sample is
+    outside.
     """
-    quadrants: list[Quadrant] = []
-    aois: list[AoiLabel] = []
-    placements = session.placements
+    t, x, y = sample_columns(session.samples) if columns is None else columns
     geometry = session.geometry
-    pi = 0
-    current: ObjectPlacement | None = None
-    for sample in session.samples:
-        while pi < len(placements) and placements[pi].t_ms <= sample.t_ms:
-            current = placements[pi]
-            pi += 1
-        quadrants.append(quadrant_of(sample.x_px, sample.y_px, geometry))
-        aois.append(classify_aoi(sample.x_px, sample.y_px, current, geometry))
+    w, h = geometry.width_px, geometry.height_px
+    up = y if geometry.y_up else h - y
+    quadrants = (np.where(x < w / 2, 0, 1) + np.where(up > h / 2, 0, 2)).astype(np.int8)
+
+    placements = session.placements
+    if placements:
+        times = np.array([p.t_ms for p in placements], dtype=np.int64)
+        rects = [aoi_bounds(p) for p in placements]
+        bounds = np.array([[r.x_min, r.x_max, r.y_min, r.y_max] for r in rects]).T.copy()
+        sides = np.array(
+            [LEFT_CODE if p.obj_x_px < w / 2 else RIGHT_CODE for p in placements],
+            dtype=np.int8,
+        )
+        active = np.searchsorted(times, t, side="right") - 1
+        inside = (active >= 0) & AoiRect(*bounds.take(active, axis=1)).contains(x, y)
+        aois = np.where(inside, sides[active], OUTSIDE_CODE).astype(np.int8)
+    else:
+        aois = np.full(len(t), OUTSIDE_CODE, dtype=np.int8)
+    quadrants.flags.writeable = False
+    aois.flags.writeable = False
     return quadrants, aois

@@ -3,6 +3,10 @@
 Both matrices count consecutive label pairs including repeats (diagonal
 cells), so total matrix mass is n-1 for n samples. Cross-quadrant
 aggregates exclude the diagonal.
+
+Every stage takes labels as Enum sequences or as int8 code arrays in
+``QUADRANT_ORDER`` / ``AOI_ORDER`` index order, and samples as
+``GazeSample`` sequences or as an int64 timestamp array.
 """
 from __future__ import annotations
 
@@ -12,13 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import GazeSample
-from .spatial import AoiLabel, Quadrant
+from .spatial import (
+    AOI_ORDER, LEFT_CODE, OUTSIDE_CODE, QUADRANT_ORDER, RIGHT_CODE, AoiLabel, Quadrant,
+    label_codes, sample_times,
+)
 
-_QUADRANT_INDEX = {q: i for i, q in enumerate(Quadrant)}
-_AOI_INDEX = {a: i for i, a in enumerate(AoiLabel)}
-
-QUADRANT_ORDER = tuple(Quadrant)
-AOI_ORDER = tuple(AoiLabel)
+Labels = Sequence[Quadrant] | Sequence[AoiLabel] | np.ndarray
+Samples = Sequence[GazeSample] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class QuadrantTransitionMatrix:
     counts: np.ndarray
 
     def count(self, source: Quadrant, target: Quadrant) -> int:
-        return int(self.counts[_QUADRANT_INDEX[source], _QUADRANT_INDEX[target]])
+        return int(self.counts[QUADRANT_ORDER.index(source), QUADRANT_ORDER.index(target)])
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class AoITransitionMatrix:
     counts: np.ndarray
 
     def count(self, source: AoiLabel, target: AoiLabel) -> int:
-        return int(self.counts[_AOI_INDEX[source], _AOI_INDEX[target]])
+        return int(self.counts[AOI_ORDER.index(source), AOI_ORDER.index(target)])
 
 
 @dataclass(frozen=True)
@@ -67,22 +71,19 @@ class DwellSummary:
     stimuli_focus_pct: float
 
 
-def _pair_counts(indices: Sequence[int], size: int) -> np.ndarray:
-    counts = np.zeros((size, size), dtype=np.int64)
-    for a, b in zip(indices, indices[1:]):
-        counts[a, b] += 1
-    return counts
+def _pair_matrix(labels: Labels, order: tuple) -> np.ndarray:
+    k = len(order)
+    codes = label_codes(labels, order)
+    return np.bincount(codes[:-1] * k + codes[1:], minlength=k * k).reshape(k, k)
 
 
-def build_quadrant_matrix(labels: Sequence[Quadrant]) -> QuadrantTransitionMatrix:
+def build_quadrant_matrix(labels: Labels) -> QuadrantTransitionMatrix:
     """Count consecutive quadrant pairs; empty/singleton input gives zeros."""
-    indices = [_QUADRANT_INDEX[q] for q in labels]
-    return QuadrantTransitionMatrix(_pair_counts(indices, 4))
+    return QuadrantTransitionMatrix(_pair_matrix(labels, QUADRANT_ORDER))
 
 
-def build_aoi_matrix(labels: Sequence[AoiLabel]) -> AoITransitionMatrix:
-    indices = [_AOI_INDEX[a] for a in labels]
-    return AoITransitionMatrix(_pair_counts(indices, 3))
+def build_aoi_matrix(labels: Labels) -> AoITransitionMatrix:
+    return AoITransitionMatrix(_pair_matrix(labels, AOI_ORDER))
 
 
 def aggregate_transitions(matrix: QuadrantTransitionMatrix) -> TransitionAggregates:
@@ -93,10 +94,8 @@ def aggregate_transitions(matrix: QuadrantTransitionMatrix) -> TransitionAggrega
     pair; the total is the sum of all four groups.
     """
     c = matrix.counts
-    nsq = [0, 1]
-    sq = [2, 3]
-    nsq_to_sq = int(c[np.ix_(nsq, sq)].sum())
-    sq_to_nsq = int(c[np.ix_(sq, nsq)].sum())
+    nsq_to_sq = int(c[:2, 2:].sum())
+    sq_to_nsq = int(c[2:, :2].sum())
     nsq_to_nsq = int(c[0, 1] + c[1, 0])
     sq_to_sq = int(c[2, 3] + c[3, 2])
     return TransitionAggregates(
@@ -115,10 +114,9 @@ def aoi_metrics(matrix: AoITransitionMatrix, changes_only: bool = False) -> AoiM
     cells (off-diagonal) instead of all consecutive pairs.
     """
     c = matrix.counts
-    li, ri = _AOI_INDEX[AoiLabel.LEFT], _AOI_INDEX[AoiLabel.RIGHT]
-    switches = int(c[li, ri] + c[ri, li])
-    fixations_left = int(c[li, :].sum())
-    fixations_right = int(c[ri, :].sum())
+    switches = int(c[LEFT_CODE, RIGHT_CODE] + c[RIGHT_CODE, LEFT_CODE])
+    fixations_left = int(c[LEFT_CODE, :].sum())
+    fixations_right = int(c[RIGHT_CODE, :].sum())
     total = int(c.sum() - np.trace(c)) if changes_only else int(c.sum())
     balance = abs(fixations_left - fixations_right) / max(fixations_left + fixations_right, 1)
     efficiency = switches / total if total > 0 else 0.0
@@ -132,23 +130,30 @@ def aoi_metrics(matrix: AoITransitionMatrix, changes_only: bool = False) -> AoiM
     )
 
 
-def dwell_summary(
-    samples: Sequence[GazeSample], labels: Sequence[Quadrant]
-) -> DwellSummary:
+def _time_by_code(samples: Samples, labels: Labels, order: tuple) -> tuple[list[int], int]:
+    """Integer ms per label code, each gap charged to the earlier sample,
+    plus the session duration. Fewer than two samples means no elapsed
+    time."""
+    t = sample_times(samples)
+    codes = label_codes(labels, order)
+    if len(t) != len(codes):
+        raise ValueError(f"{len(t)} samples vs {len(codes)} labels")
+    if len(t) < 2:
+        return [0] * len(order), 0
+    per_code = np.zeros(len(order), dtype=np.int64)
+    np.add.at(per_code, codes[:-1], np.diff(t))
+    return per_code.tolist(), int(t[-1] - t[0])
+
+
+def dwell_summary(samples: Samples, labels: Labels) -> DwellSummary:
     """Per-quadrant dwell times with each gap charged to the earlier sample.
 
     Integer arithmetic throughout, so the per-quadrant times sum to the
     session duration exactly. Fewer than two samples means no elapsed
     time: all durations zero and a zero focus share.
     """
-    if len(samples) != len(labels):
-        raise ValueError(f"{len(samples)} samples vs {len(labels)} labels")
-    time_in = {q: 0 for q in Quadrant}
-    if len(samples) < 2:
-        return DwellSummary(time_in_quadrant=time_in, session_duration_ms=0, stimuli_focus_pct=0.0)
-    for i in range(len(samples) - 1):
-        time_in[labels[i]] += samples[i + 1].t_ms - samples[i].t_ms
-    duration = samples[-1].t_ms - samples[0].t_ms
+    per_code, duration = _time_by_code(samples, labels, QUADRANT_ORDER)
+    time_in = dict(zip(QUADRANT_ORDER, per_code))
     stimulus_ms = time_in[Quadrant.Q3] + time_in[Quadrant.Q4]
     focus = 100.0 * stimulus_ms / duration if duration > 0 else 0.0
     return DwellSummary(
@@ -156,30 +161,22 @@ def dwell_summary(
     )
 
 
-def aoi_sample_share_pct(labels: Sequence[AoiLabel]) -> float:
+def aoi_sample_share_pct(labels: Labels) -> float:
     """Share of samples inside either AoI, in percent."""
-    if not labels:
+    codes = label_codes(labels, AOI_ORDER)
+    if len(codes) == 0:
         return 0.0
-    inside = sum(1 for label in labels if label is not AoiLabel.OUTSIDE)
-    return 100.0 * inside / len(labels)
+    inside = int(np.count_nonzero(codes != OUTSIDE_CODE))
+    return 100.0 * inside / len(codes)
 
 
-def aoi_time_share_pct(
-    samples: Sequence[GazeSample], labels: Sequence[AoiLabel]
-) -> float:
+def aoi_time_share_pct(samples: Samples, labels: Labels) -> float:
     """Share of session time spent inside either AoI, in percent.
 
     Uses the same earlier-sample gap attribution as dwell_summary. This
     is the dwell-based counterpart of the engagement-period ratio and is
     reported separately from it.
     """
-    if len(samples) != len(labels):
-        raise ValueError(f"{len(samples)} samples vs {len(labels)} labels")
-    if len(samples) < 2:
-        return 0.0
-    inside_ms = 0
-    for i in range(len(samples) - 1):
-        if labels[i] is not AoiLabel.OUTSIDE:
-            inside_ms += samples[i + 1].t_ms - samples[i].t_ms
-    duration = samples[-1].t_ms - samples[0].t_ms
+    per_code, duration = _time_by_code(samples, labels, AOI_ORDER)
+    inside_ms = per_code[LEFT_CODE] + per_code[RIGHT_CODE]
     return 100.0 * inside_ms / duration if duration > 0 else 0.0

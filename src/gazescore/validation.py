@@ -92,17 +92,30 @@ def rmse(model: Sequence[float], truth: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((m - t) ** 2)))
 
 
+def _deviations(values: np.ndarray) -> np.ndarray:
+    """Deviations from the mean of a non-constant series, scaled to peak 1.
+
+    The second centering removes the first mean's rounding error, which
+    dominates when the spread is tiny next to the values; the scaling
+    keeps squares clear of underflow. Neither changes the correlation.
+    """
+    d = values - values.sum() / len(values)
+    d -= d.sum() / len(d)
+    return d / np.abs(d).max()
+
+
 def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
     """Product-moment correlation; None when either series is constant."""
     m, t = _paired(model, truth)
     if len(m) < 2:
         raise ValueError("need at least two pairs")
-    dm = m - m.mean()
-    dt = t - t.mean()
-    denom = float(np.sqrt(np.sum(dm**2)) * np.sqrt(np.sum(dt**2)))
-    if denom == 0.0:
+    # Constancy is tested on the values: the rounded mean of a constant
+    # series leaves tiny non-zero deviations.
+    if (m == m[0]).all() or (t == t[0]).all():
         return None
-    return float(np.sum(dm * dt) / denom)
+    dm = _deviations(m)
+    dt = _deviations(t)
+    return float((dm * dt).sum() / (np.sqrt((dm * dm).sum()) * np.sqrt((dt * dt).sum())))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

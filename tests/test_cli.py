@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
+from gazescore.ingest import CSV_HEADER
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,72 @@ class TestAnalyze:
         code = main(["analyze", "--in", str(fixture_dir), "--out", str(tmp_path / "o"),
                      "--config", str(config_path)])
         assert code == EXIT_CONFIG
+
+
+def _session_dir(tmp_path, rows):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    lines = [",".join(CSV_HEADER)] + rows
+    (in_dir / "S1_level1.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return in_dir
+
+
+GAZE_ROWS = ['0,"(100, 900)",,,,,', '16,"(110, 900)",,,,,', '32,"(120, 900)",,,,,']
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "1e19"])
+    def test_infinite_gaze_timestamp_dropped(self, tmp_path, stamp):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS + [f'{stamp},"(130, 900)",,,,,'])
+        out = tmp_path / "out"
+        assert main(["analyze", "--in", str(in_dir), "--out", str(out)]) == EXIT_OK
+        rows = (out / "plots" / "S1" / "samples_level1.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(GAZE_ROWS)
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf"])
+    @pytest.mark.parametrize("row", [',,"(480, 810)",200,150,,', ",,,,,answer,true"])
+    def test_infinite_placement_or_event_timestamp(self, tmp_path, capsys, stamp, row):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS + [stamp + row])
+        code = main(["analyze", "--in", str(in_dir), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "field=timestamp_ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w,h", [("nan", "150"), ("200", "nan"), ("inf", "150")])
+    def test_non_finite_placement_size(self, tmp_path, capsys, w, h):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS + [f'20,,"(480, 810)",{w},{h},,'])
+        code = main(["analyze", "--in", str(in_dir), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "field=aoi_w" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"gamma": 1', b"[1, 2]", b'{"tau_min_ms": "abc"}', b'{"max_impact": "x"}',
+         b"\xff\xfe"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, content):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS)
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        code = main(["analyze", "--in", str(in_dir), "--out", str(tmp_path / "out"),
+                     "--config", str(config_path)])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_config_json_exits_without_traceback(self, tmp_path):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS)
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"gamma": 1,', encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gazescore.cli", "analyze", "--in", str(in_dir),
+             "--out", str(tmp_path / "out"), "--config", str(config_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "bad JSON" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestValidate:

@@ -252,6 +252,38 @@ class TestLoadLevelCsv:
         with pytest.raises(SessionLoadError):
             load_level_csv(path, 1, "s1")
 
+    @pytest.mark.parametrize("w,h", [("nan", "150"), ("200", "nan"), ("inf", "150")])
+    def test_non_finite_placement_dimensions(self, tmp_path, w, h):
+        path = tmp_path / "s1_level1.csv"
+        _write(path, ['0,"(10, 20)",,,,,', f'10,,"(480, 810)",{w},{h},,'])
+        with pytest.raises(SessionLoadError) as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.fieldname == "aoi_w"
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_placement_rejected_at_construction(self, size):
+        with pytest.raises(ValueError):
+            ObjectPlacement(0, 400, 300, size, 150)
+        with pytest.raises(ValueError):
+            ObjectPlacement(0, 400, 300, 200, size)
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e19", "-4.7e18"])
+    def test_non_finite_gaze_timestamp_dropped(self, tmp_path, stamp):
+        path = tmp_path / "s1_level1.csv"
+        _write(path, ['0,"(10, 20)",,,,,', f'{stamp},"(11, 21)",,,,,', '32,"(12, 22)",,,,,'])
+        session = load_level_csv(path, 1, "s1")
+        assert [s.t_ms for s in session.samples] == [0, 32]
+        assert session.dropped_samples == 1
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "1e19"])
+    @pytest.mark.parametrize("row", [',,"(480, 810)",200,150,,', ",,,,,answer,true"])
+    def test_non_finite_placement_or_event_timestamp(self, tmp_path, stamp, row):
+        path = tmp_path / "s1_level1.csv"
+        _write(path, ['0,"(10, 20)",,,,,', stamp + row])
+        with pytest.raises(SessionLoadError) as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.fieldname == "timestamp_ms"
+
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "s1_level1.csv"
         body = "\r\n".join(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from gazescore.ingest import LevelSession
@@ -17,7 +18,32 @@ def fixture_analysis():
     return analyses, validation
 
 
+def _leaves(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _leaves(value)
+    else:
+        yield node
+
+
 class TestBuildReport:
+    def test_values_are_plain_python(self, fixture_analysis):
+        analyses, validation = fixture_analysis
+        report = build_report("S10", analyses, validation)
+        kinds = {type(leaf) for leaf in _leaves(report)}
+        assert kinds <= {int, float, str, bool, type(None)}
+
+    def test_labels_are_read_only_codes(self, fixture_analysis):
+        analyses, _ = fixture_analysis
+        for a in analyses:
+            assert a.quadrant_labels.dtype == a.aoi_labels.dtype == np.int8
+            assert len(a.quadrant_labels) == len(a.aoi_labels) == len(a.session.samples)
+            assert not a.quadrant_labels.flags.writeable
+            assert not a.aoi_labels.flags.writeable
+
     def test_top_level_schema(self, fixture_analysis):
         analyses, validation = fixture_analysis
         report = build_report("S10", analyses, validation)

@@ -96,6 +96,21 @@ class TestConfig:
         config = ScoringConfig.from_file(path)
         assert config.gamma == 5.0 and config.eta_source == "aoi_dwell"
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"gamma": 1', b"[1, 2]", b'{"tau_min_ms": "abc"}', b'{"max_impact": "x"}',
+         b"\xff\xfe"],
+    )
+    def test_from_file_malformed_is_config_error(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError):
+            ScoringConfig.from_file(path)
+
+    def test_from_file_missing_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            ScoringConfig.from_file(tmp_path / "nope.json")
+
     def test_bad_eta_source(self):
         with pytest.raises(ConfigError):
             ScoringConfig(eta_source="nope")

@@ -6,19 +6,38 @@ from hypothesis import given, strategies as st
 
 from gazescore.ingest import GazeSample, LevelSession, ObjectPlacement
 from gazescore.spatial import (
+    AOI_ORDER,
+    QUADRANT_ORDER,
     AoiLabel,
     Quadrant,
     ScreenGeometry,
-    active_placement,
     aoi_bounds,
-    classify_aoi,
     classify_session,
-    quadrant_of,
 )
+from oracles import active_placement
 
 # The worked quadrant examples are stated in the y-up frame.
 GEO_UP = ScreenGeometry(y_up=True)
 GEO_SCREEN = ScreenGeometry()
+
+
+def _one_sample(x, y, placement, geometry):
+    session = LevelSession(
+        "s", 1, (GazeSample(0, x, y),), (), (placement,) if placement else (), geometry
+    )
+    quadrants, aois = classify_session(session)
+    return QUADRANT_ORDER[quadrants[0]], AOI_ORDER[aois[0]]
+
+
+def quadrant_of(x, y, geometry):
+    """The session kernel's quadrant for a single point."""
+    return _one_sample(x, y, None, geometry)[0]
+
+
+def classify_aoi(x, y, placement, geometry):
+    """The session kernel's AoI label for a single point; the placement
+    is active at the sample's time."""
+    return _one_sample(x, y, placement, geometry)[1]
 
 
 class TestQuadrantOf:
@@ -184,9 +203,15 @@ class TestClassifySession:
             ),
         )
         quadrants, aois = classify_session(session)
-        assert aois == [AoiLabel.OUTSIDE, AoiLabel.LEFT, AoiLabel.RIGHT, AoiLabel.OUTSIDE]
-        assert quadrants == [Quadrant.Q3, Quadrant.Q3, Quadrant.Q4, Quadrant.Q3]
+        assert [AOI_ORDER[a] for a in aois] == [
+            AoiLabel.OUTSIDE, AoiLabel.LEFT, AoiLabel.RIGHT, AoiLabel.OUTSIDE
+        ]
+        assert [QUADRANT_ORDER[q] for q in quadrants] == [
+            Quadrant.Q3, Quadrant.Q3, Quadrant.Q4, Quadrant.Q3
+        ]
+        assert quadrants.dtype == aois.dtype == np.int8
 
     def test_empty_session(self):
         session = LevelSession("s", 1, (), (), ())
-        assert classify_session(session) == ([], [])
+        quadrants, aois = classify_session(session)
+        assert len(quadrants) == len(aois) == 0

@@ -107,6 +107,21 @@ class TestPearson:
     def test_constant_series_undefined(self):
         assert pearson([1, 1, 1], [1, 2, 3]) is None
 
+    @pytest.mark.parametrize(
+        "m",
+        [[0.5, 0.5 + 9.467340811979241e-14], [0.0, 1.5473850336077475e-158]],
+        ids=["spread-tiny-next-to-values", "squares-underflow"],
+    )
+    def test_two_distinct_values_correlate_exactly(self, m):
+        # Any two distinct points lie on a line: r is exactly +-1.
+        assert pearson(m, [10.0, 20.0]) == pytest.approx(1.0, abs=1e-12)
+        assert pearson(m, [20.0, 10.0]) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_constant_series_with_inexact_mean_undefined(self):
+        # 1.9 has no exact binary mean, so the deviations are not all 0.
+        assert pearson([1.9, 1.9, 1.9], [80.0, 90.0, 70.0]) is None
+        assert pearson([80.0, 90.0, 70.0], [1.9, 1.9, 1.9]) is None
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             pearson([1], [2])
@@ -208,6 +223,10 @@ class TestValidateScores:
 
     def test_constant_model_undefined(self):
         report = validate_scores([100.0, 100.0, 100.0], TRUTH)
+        assert report.pearson_r is None and report.spearman_rho is None
+
+    def test_constant_model_with_inexact_mean_undefined(self):
+        report = validate_scores([1.9, 1.9, 1.9], TRUTH)
         assert report.pearson_r is None and report.spearman_rho is None
 
 
