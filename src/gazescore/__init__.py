@@ -16,12 +16,10 @@ from .ingest import (
     GazeSample,
     LevelSession,
     ObjectPlacement,
-    RawRecord,
+    SampleColumns,
     SessionSet,
-    clean_samples,
     load_level_csv,
     merge_levels,
-    normalize_timestamps,
     parse_coordinate_string,
     write_level_csv,
 )

@@ -14,10 +14,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .spatial import ScreenGeometry
 
@@ -74,23 +77,53 @@ class DuplicateSessionError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One CSV row before cleaning. Optional facets may be absent."""
-
-    timestamp_ms: int | None
-    gaze_text: str | None = None
-    object_text: str | None = None
-    aoi_width_px: float | None = None
-    aoi_height_px: float | None = None
-    event_kind: str | None = None
-    event_correct: bool | None = None
-
-
-@dataclass(frozen=True)
 class GazeSample:
     t_ms: int
     x_px: float
     y_px: float
+
+
+class SampleColumns:
+    """The gaze samples of a session as read-only columns.
+
+    ``t_ms`` is int64, ``x_px`` and ``y_px`` are float64. ``len``, int
+    indexing and iteration give ``GazeSample`` views; two containers are
+    equal when their columns are.
+    """
+
+    __slots__ = ("t_ms", "x_px", "y_px")
+
+    def __init__(self, t_ms, x_px, y_px) -> None:
+        columns = (
+            np.array(t_ms, dtype=np.int64),
+            np.array(x_px, dtype=np.float64),
+            np.array(y_px, dtype=np.float64),
+        )
+        if any(c.shape != (len(columns[0]),) for c in columns):
+            raise ValueError("sample columns must be 1-d and of equal length")
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    def __getitem__(self, index: int) -> GazeSample:
+        i = operator.index(index)
+        return GazeSample(int(self.t_ms[i]), float(self.x_px[i]), float(self.y_px[i]))
+
+    def __iter__(self) -> Iterator[GazeSample]:
+        return map(GazeSample, self.t_ms.tolist(), self.x_px.tolist(), self.y_px.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.__slots__
+        )
+
+    def __repr__(self) -> str:
+        return f"SampleColumns(n={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -121,11 +154,15 @@ class ObjectPlacement:
 
 @dataclass(frozen=True)
 class LevelSession:
-    """Cleaned samples, events and placements for one student at one level."""
+    """Cleaned samples, events and placements for one student at one level.
+
+    ``samples`` may be given as a ``GazeSample`` sequence; it is stored
+    as ``SampleColumns``.
+    """
 
     student_id: str
     level: int
-    samples: tuple[GazeSample, ...]
+    samples: SampleColumns
     events: tuple[GameEvent, ...]
     placements: tuple[ObjectPlacement, ...]
     geometry: ScreenGeometry = ScreenGeometry()
@@ -134,6 +171,12 @@ class LevelSession:
     def __post_init__(self) -> None:
         if self.level not in VALID_LEVELS:
             raise ValueError(f"level must be in {VALID_LEVELS}, got {self.level}")
+        if not isinstance(self.samples, SampleColumns):
+            samples = tuple(self.samples)
+            columns = SampleColumns(
+                [s.t_ms for s in samples], [s.x_px for s in samples], [s.y_px for s in samples]
+            )
+            object.__setattr__(self, "samples", columns)
 
 
 @dataclass
@@ -180,57 +223,6 @@ def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
-def clean_samples(
-    records: Iterable[RawRecord],
-    geometry: ScreenGeometry,
-    drop_out_of_bounds: bool = True,
-) -> tuple[list[GazeSample], int]:
-    """Extract valid gaze samples from raw records.
-
-    Drops records whose gaze field is (0, 0) (tracking loss), fails to
-    parse, falls outside [0, W] x [0, H] (unless ``drop_out_of_bounds``
-    is off), or carries no timestamp. Records without a gaze field are
-    not samples at all and are neither kept nor counted as dropped.
-
-    Returns the samples sorted by timestamp (stable for ties) together
-    with the number of dropped gaze records.
-    """
-    samples: list[GazeSample] = []
-    dropped = 0
-    for record in records:
-        if record.gaze_text is None or record.gaze_text == "":
-            continue
-        if record.timestamp_ms is None:
-            dropped += 1
-            continue
-        try:
-            x, y = parse_coordinate_string(record.gaze_text)
-        except CoordinateParseError:
-            dropped += 1
-            continue
-        if x == 0 and y == 0:
-            dropped += 1
-            continue
-        if drop_out_of_bounds and not (
-            0 <= x <= geometry.width_px and 0 <= y <= geometry.height_px
-        ):
-            dropped += 1
-            continue
-        samples.append(GazeSample(t_ms=record.timestamp_ms, x_px=x, y_px=y))
-    samples.sort(key=lambda s: s.t_ms)
-    return samples, dropped
-
-
-def normalize_timestamps(samples: Sequence[GazeSample]) -> list[GazeSample]:
-    """Shift timestamps so the first sample sits at 0; gaps are preserved."""
-    if not samples:
-        return []
-    offset = samples[0].t_ms
-    if offset == 0:
-        return list(samples)
-    return [replace(s, t_ms=s.t_ms - offset) for s in samples]
-
-
 def _parse_timestamp(text: str) -> int | None:
     """Integer ms, or None for a blank, unparsable, non-finite or
     out-of-range value. The range keeps every normalized time and time
@@ -259,12 +251,15 @@ def load_level_csv(
     level: int,
     student_id: str,
     geometry: ScreenGeometry = ScreenGeometry(),
-    drop_out_of_bounds: bool = True,
 ) -> LevelSession:
     """Load one level file into a cleaned, normalized LevelSession.
 
-    Gaze problems are handled by cleaning (dropped and counted); malformed
-    event or placement fields are structural errors and raise
+    A gaze reading is dropped and counted when it is (0, 0) (tracking
+    loss), fails to parse, falls outside [0, W] x [0, H] or its row has
+    no usable timestamp; rows without a gaze reading are not samples.
+    Samples are sorted by timestamp (stable for ties) and shifted so the
+    first sits at 0; events and placements shift by the same offset.
+    Malformed event or placement fields are structural errors and raise
     SessionLoadError with file, line and field context.
     """
     path = Path(path)
@@ -273,9 +268,13 @@ def load_level_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such session file: {path}")
 
-    records: list[RawRecord] = []
-    events: list[tuple[int, GameEvent]] = []
-    placements: list[tuple[int, ObjectPlacement]] = []
+    width, height = geometry.width_px, geometry.height_px
+    ts: list[int] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    dropped = 0
+    events: list[GameEvent] = []
+    placements: list[ObjectPlacement] = []
 
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -288,20 +287,30 @@ def load_level_csv(
                 f"malformed header {header!r}, expected {CSV_HEADER!r}", path, 1
             )
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
             if len(row) != len(CSV_HEADER):
-                raise SessionLoadError(
-                    f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line_no
-                )
-            ts_text, gaze, object_pos, aoi_w, aoi_h, event_kind, event_correct = (
-                cell.strip() for cell in row
-            )
+                if any(cell.strip() for cell in row):
+                    raise SessionLoadError(
+                        f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line_no
+                    )
+                continue
+            ts_text, gaze, object_pos, aoi_w, aoi_h, event_kind, event_correct = row
             t_ms = _parse_timestamp(ts_text)
 
+            gaze = gaze.strip()
             if gaze:
-                records.append(RawRecord(timestamp_ms=t_ms, gaze_text=gaze))
+                match = None if t_ms is None else _COORD_RE.match(gaze)
+                if match is None:
+                    dropped += 1
+                else:
+                    x, y = float(match[1]), float(match[2])
+                    if (x == 0 and y == 0) or not (0 <= x <= width and 0 <= y <= height):
+                        dropped += 1
+                    else:
+                        ts.append(t_ms)
+                        xs.append(x)
+                        ys.append(y)
 
+            object_pos = object_pos.strip()
             if object_pos:
                 if t_ms is None:
                     raise SessionLoadError(
@@ -311,6 +320,7 @@ def load_level_csv(
                     ox, oy = parse_coordinate_string(object_pos)
                 except CoordinateParseError as exc:
                     raise SessionLoadError(str(exc), path, line_no, "object_pos") from exc
+                aoi_w, aoi_h = aoi_w.strip(), aoi_h.strip()
                 try:
                     w = float(aoi_w)
                     h = float(aoi_h)
@@ -319,13 +329,11 @@ def load_level_csv(
                         f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
                     ) from exc
                 try:
-                    placement = ObjectPlacement(
-                        t_ms=t_ms, obj_x_px=ox, obj_y_px=oy, aoi_w_px=w, aoi_h_px=h
-                    )
+                    placements.append(ObjectPlacement(t_ms, ox, oy, w, h))
                 except ValueError as exc:
                     raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
-                placements.append((t_ms, placement))
 
+            event_kind = event_kind.strip()
             if event_kind and event_kind != "other":
                 if event_kind not in EVENT_KINDS_SCORED:
                     raise SessionLoadError(
@@ -338,34 +346,30 @@ def load_level_csv(
                 correct = _parse_bool(event_correct)
                 if correct is None:
                     raise SessionLoadError(
-                        f"bad event_correct value {event_correct!r}",
+                        f"bad event_correct value {event_correct.strip()!r}",
                         path,
                         line_no,
                         "event_correct",
                     )
-                events.append((t_ms, GameEvent(t_ms=t_ms, kind=event_kind, correct=correct)))
+                events.append(GameEvent(t_ms, event_kind, correct))
 
-    samples, dropped = clean_samples(records, geometry, drop_out_of_bounds)
-    if not samples:
+    if not ts:
         log.warning("%s: no valid gaze samples (dropped=%d)", path, dropped)
+    t = np.array(ts, dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    offset = int(t[order[0]]) if len(t) else 0
+    samples = SampleColumns(t[order] - offset, np.array(xs)[order], np.array(ys)[order])
 
-    offset = samples[0].t_ms if samples else 0
-    samples = normalize_timestamps(samples)
-    events.sort(key=lambda pair: pair[0])
-    placements.sort(key=lambda pair: pair[0])
-    shifted_events = tuple(
-        replace(ev, t_ms=ev.t_ms - offset) for _, ev in events
-    )
-    shifted_placements = tuple(
-        replace(pl, t_ms=pl.t_ms - offset) for _, pl in placements
-    )
+    def shifted(items):
+        ordered = sorted(items, key=operator.attrgetter("t_ms"))
+        return tuple(replace(item, t_ms=item.t_ms - offset) for item in ordered)
 
     return LevelSession(
         student_id=student_id,
         level=level,
-        samples=tuple(samples),
-        events=shifted_events,
-        placements=shifted_placements,
+        samples=samples,
+        events=shifted(events),
+        placements=shifted(placements),
         geometry=geometry,
         dropped_samples=dropped,
     )
@@ -406,14 +410,9 @@ def write_level_csv(session: LevelSession, path: str | Path) -> Path:
                 ],
             )
         )
-    for sample in session.samples:
-        rows.append(
-            (
-                sample.t_ms,
-                1,
-                [str(sample.t_ms), _format_coord(sample.x_px, sample.y_px), "", "", "", "", ""],
-            )
-        )
+    samples = session.samples
+    for t, x, y in zip(samples.t_ms.tolist(), samples.x_px.tolist(), samples.y_px.tolist()):
+        rows.append((t, 1, [str(t), _format_coord(x, y), "", "", "", "", ""]))
     for event in session.events:
         rows.append(
             (

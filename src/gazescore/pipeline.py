@@ -19,7 +19,7 @@ from .scoring import (
     check_constraints,
     final_score,
 )
-from .spatial import classify_session, sample_columns
+from .spatial import classify_session
 from .transitions import (
     AoITransitionMatrix,
     AoiMetrics,
@@ -65,9 +65,8 @@ def analyze_session(
     session: LevelSession, config: ScoringConfig = ScoringConfig()
 ) -> SessionAnalysis:
     """Run the full pipeline on one session and return every artifact."""
-    columns = sample_columns(session.samples)
-    t = columns[0]
-    quadrants, aois = classify_session(session, columns)
+    t = session.samples.t_ms
+    quadrants, aois = classify_session(session)
     quadrant_matrix = build_quadrant_matrix(quadrants)
     aggregates = aggregate_transitions(quadrant_matrix)
     aoi_matrix = build_aoi_matrix(aois)

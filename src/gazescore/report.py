@@ -11,7 +11,7 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .pipeline import SessionAnalysis
 from .validation import ValidationReport, classify_assessment
@@ -149,13 +149,30 @@ def write_report(report: dict, path: str | Path) -> Path:
     return path
 
 
-def _write_csv_atomic(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv_atomic(path: Path, header: list[str], rows: Iterable) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     os.replace(tmp, path)
+
+
+def _sample_rows(analysis: SessionAnalysis) -> Iterator[tuple]:
+    """(t, x, y, quadrant, aoi_label) rows, made 8192 samples at a time so a
+    long session never holds one Python row per sample."""
+    s = analysis.session.samples
+    quadrant_values = [q.value for q in QUADRANT_ORDER]
+    aoi_values = [a.value for a in AOI_ORDER]
+    for lo in range(0, len(s), 8192):
+        part = slice(lo, lo + 8192)
+        yield from zip(
+            s.t_ms[part].tolist(),
+            s.x_px[part].tolist(),
+            s.y_px[part].tolist(),
+            map(quadrant_values.__getitem__, analysis.quadrant_labels[part].tolist()),
+            map(aoi_values.__getitem__, analysis.aoi_labels[part].tolist()),
+        )
 
 
 def emit_plot_data(
@@ -171,22 +188,14 @@ def emit_plot_data(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     ordered = sorted(analyses, key=lambda a: a.session.level)
-    quadrant_values = [q.value for q in QUADRANT_ORDER]
-    aoi_values = [a.value for a in AOI_ORDER]
 
     for analysis in ordered:
         level = analysis.session.level
-        sample_rows = [
-            [s.t_ms, s.x_px, s.y_px, quadrant_values[q], aoi_values[a]]
-            for s, q, a in zip(
-                analysis.session.samples,
-                analysis.quadrant_labels.tolist(),
-                analysis.aoi_labels.tolist(),
-            )
-        ]
         sample_path = out_dir / f"samples_level{level}.csv"
         _write_csv_atomic(
-            sample_path, ["t_ms", "x_px", "y_px", "quadrant", "aoi_label"], sample_rows
+            sample_path,
+            ["t_ms", "x_px", "y_px", "quadrant", "aoi_label"],
+            _sample_rows(analysis),
         )
         written.append(sample_path)
 

@@ -83,6 +83,13 @@ class ScoringConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_impact", _as_max_impact(self.max_impact))
+        # Before any comparison: NaN passes every one of them.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and value != int(value):
+                raise ConfigError(f"{f.name} must be a whole number, got {value}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ConfigError("transition weights must be >= 0")
         if self.tau_min_ms > self.tau_sustained_ms:
@@ -94,8 +101,8 @@ class ScoringConfig:
             raise ConfigError("tau_min_ms must be positive")
         if self.gap_tolerance_ms < 0:
             raise ConfigError("gap_tolerance_ms must be >= 0")
-        if any(v <= 0 for v in self.max_impact.values()):
-            raise ConfigError("max_impact values must be positive")
+        if not all(0 < v < math.inf for v in self.max_impact.values()):
+            raise ConfigError("max_impact values must be positive and finite")
         if self.excess_period_threshold < 0:
             raise ConfigError("excess_period_threshold must be >= 0")
         if self.eta_source not in ETA_SOURCES:
@@ -104,9 +111,6 @@ class ScoringConfig:
             raise ConfigError("calibration thresholds must increase: excellent < good < fair")
         if not (0 <= self.developing_min < self.mastery_min):
             raise ConfigError("performance thresholds must satisfy 0 <= developing < mastery")
-        for name in ("alpha1", "alpha2", "gamma", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScoringConfig":
@@ -224,13 +228,7 @@ def base_score(features: LevelFeatures, config: ScoringConfig = ScoringConfig())
 
     May be negative; clamping happens only on the final score.
     """
-    return (
-        config.alpha1 * features.nsq_to_sq
-        - config.alpha2 * features.sq_to_nsq
-        + level_bonus(features)
-        + config.gamma * features.aoi_efficiency
-        + config.delta * psi_focus(features.sf_pct, features.level)
-    )
+    return final_score(features, config).base_score
 
 
 def bonus_aoi(eta: float) -> float:
@@ -280,15 +278,7 @@ def temporal_impact(features: LevelFeatures, config: ScoringConfig = ScoringConf
 
     The raw sum is clamped to +/- the configured per-level cap.
     """
-    raw = (
-        bonus_aoi(_eta_for(features, config))
-        + psi_focus(features.sf_pct, features.level)
-        + bonus_sustained(features.temporal.sustained_count)
-        + bonus_duration(features.temporal.mu_engagement_ms / 1000.0)
-        - penalty_excess(features.temporal.period_count, config.excess_period_threshold)
-    )
-    cap = config.max_impact[features.level]
-    return max(-cap, min(cap, raw))
+    return final_score(features, config).temporal_impact
 
 
 def temporal_multiplier(s_base: float) -> float:
@@ -308,23 +298,35 @@ def final_score(
     """Full score computation with every intermediate term recorded.
 
     The multiplier is evaluated on the unclamped base score; only the
-    combined result is clamped to [0, 100].
+    combined result is clamped to [0, 100]. Each term is computed once.
     """
-    s_base = base_score(features, config)
-    impact = temporal_impact(features, config)
+    bonus = level_bonus(features)
+    focus = psi_focus(features.sf_pct, features.level)
+    temporal = features.temporal
+    engagement = bonus_aoi(_eta_for(features, config))
+    sustained = bonus_sustained(temporal.sustained_count)
+    duration = bonus_duration(temporal.mu_engagement_ms / 1000.0)
+    excess = penalty_excess(temporal.period_count, config.excess_period_threshold)
+    s_base = (
+        config.alpha1 * features.nsq_to_sq
+        - config.alpha2 * features.sq_to_nsq
+        + bonus
+        + config.gamma * features.aoi_efficiency
+        + config.delta * focus
+    )
+    cap = config.max_impact[features.level]
+    impact = max(-cap, min(cap, engagement + focus + sustained + duration - excess))
     multiplier = temporal_multiplier(s_base)
     final = max(0.0, min(100.0, s_base + multiplier * impact))
     return ScoreBreakdown(
         level=features.level,
         base_score=s_base,
-        level_bonus=level_bonus(features),
-        focus_score=psi_focus(features.sf_pct, features.level),
-        engagement_bonus=bonus_aoi(_eta_for(features, config)),
-        sustained_bonus=bonus_sustained(features.temporal.sustained_count),
-        duration_bonus=bonus_duration(features.temporal.mu_engagement_ms / 1000.0),
-        excess_penalty=penalty_excess(
-            features.temporal.period_count, config.excess_period_threshold
-        ),
+        level_bonus=bonus,
+        focus_score=focus,
+        engagement_bonus=engagement,
+        sustained_bonus=sustained,
+        duration_bonus=duration,
+        excess_penalty=excess,
         temporal_impact=impact,
         multiplier=multiplier,
         final_score=final,
@@ -340,10 +342,6 @@ def check_constraints(
     violations: list[str] = []
     if not 0 <= breakdown.final_score <= 100:
         violations.append(f"final score {breakdown.final_score} outside [0, 100]")
-    if config.tau_min_ms > config.tau_sustained_ms:
-        violations.append(
-            f"tau_min_ms {config.tau_min_ms} exceeds tau_sustained_ms {config.tau_sustained_ms}"
-        )
     cap = config.max_impact[breakdown.level]
     if abs(breakdown.temporal_impact) > cap + 1e-9:
         violations.append(

@@ -113,32 +113,18 @@ def sample_times(samples: Sequence[GazeSample] | np.ndarray) -> np.ndarray:
     return np.array([s.t_ms for s in samples], dtype=np.int64)
 
 
-def sample_columns(
-    samples: Sequence[GazeSample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The t (int64), x and y (float64) columns of a sample sequence."""
-    return (
-        sample_times(samples),
-        np.array([s.x_px for s in samples], dtype=np.float64),
-        np.array([s.y_px for s in samples], dtype=np.float64),
-    )
-
-
-def classify_session(
-    session: LevelSession,
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_session(session: LevelSession) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample quadrant and AoI codes (int8, read-only) for a session.
 
-    ``columns`` are the session's ``sample_columns`` if the caller has
-    them. Quadrants split the screen at its center (y above H/2 in the
+    Quadrants split the screen at its center (y above H/2 in the
     y-up frame is the upper menu half). A sample's AoI is judged against
     the most recent placement with t_ms <= its time (step function over
     time-sorted placements); the side comes from the object's horizontal
     position, not the gaze point's. With no active placement a sample is
     outside.
     """
-    t, x, y = sample_columns(session.samples) if columns is None else columns
+    samples = session.samples
+    t, x, y = samples.t_ms, samples.x_px, samples.y_px
     geometry = session.geometry
     w, h = geometry.width_px, geometry.height_px
     up = y if geometry.y_up else h - y

@@ -95,17 +95,20 @@ def rmse(model: Sequence[float], truth: Sequence[float]) -> float:
 def _deviations(values: np.ndarray) -> np.ndarray:
     """Deviations from the mean of a non-constant series, scaled to peak 1.
 
-    The second centering removes the first mean's rounding error, which
-    dominates when the spread is tiny next to the values; the scaling
-    keeps squares clear of underflow. Neither changes the correlation.
+    The exact power-of-two prescale lifts subnormal values, whose mean
+    is not representable ([0, 5e-324] has no midpoint). The second
+    centering removes the first mean's rounding error, which dominates
+    when the spread is tiny next to the values; the final scaling keeps
+    squares clear of underflow. None of these changes the correlation.
     """
+    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     d = values - values.sum() / len(values)
     d -= d.sum() / len(d)
     return d / np.abs(d).max()
 
 
 def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
-    """Product-moment correlation; None when either series is constant."""
+    """Product-moment correlation in [-1, 1]; None when either series is constant."""
     m, t = _paired(model, truth)
     if len(m) < 2:
         raise ValueError("need at least two pairs")
@@ -115,7 +118,9 @@ def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
         return None
     dm = _deviations(m)
     dt = _deviations(t)
-    return float((dm * dt).sum() / (np.sqrt((dm * dm).sum()) * np.sqrt((dt * dt).sum())))
+    r = float((dm * dt).sum() / (np.sqrt((dm * dm).sum()) * np.sqrt((dt * dt).sum())))
+    # Rounding can carry r a few ulps past +/-1.
+    return min(1.0, max(-1.0, r))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -1,18 +1,35 @@
-"""Per-sample reference implementations of the analysis stages.
+"""Per-sample reference implementations of the loader and the analysis stages.
 
-These are the straightforward Python loops the columnar kernels in
-``gazescore`` replaced. They walk one ``GazeSample`` and one Enum label
-at a time and serve as oracles in the equivalence property tests.
+These are the straightforward Python loops the columnar code in
+``gazescore`` replaced. They walk one record, one ``GazeSample`` and one
+Enum label at a time and serve as oracles in the equivalence property
+tests.
 """
 from __future__ import annotations
 
+import csv
+import math
 from bisect import bisect_right
-from typing import Sequence
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from gazescore.engagement import EngagementPeriod
-from gazescore.ingest import GazeSample, LevelSession, ObjectPlacement
+from gazescore.ingest import (
+    CSV_HEADER,
+    EVENT_KINDS_SCORED,
+    MAX_ABS_TIMESTAMP_MS,
+    VALID_LEVELS,
+    CoordinateParseError,
+    GameEvent,
+    GazeSample,
+    LevelSession,
+    ObjectPlacement,
+    SessionLoadError,
+    parse_coordinate_string,
+)
 from gazescore.spatial import AoiLabel, Quadrant, ScreenGeometry, aoi_bounds
 from gazescore.transitions import DwellSummary
 
@@ -169,3 +186,168 @@ def detect_engagement_periods(
         i += 1
     close_run()
     return periods
+
+
+@dataclass(frozen=True)
+class RawRecord:
+    """One gaze-bearing CSV row before cleaning."""
+
+    timestamp_ms: int | None
+    gaze_text: str | None = None
+
+
+def clean_samples(
+    records: Iterable[RawRecord], geometry: ScreenGeometry
+) -> tuple[list[GazeSample], int]:
+    """Kept samples sorted by timestamp (stable for ties), and the drop count."""
+    samples: list[GazeSample] = []
+    dropped = 0
+    for record in records:
+        if record.gaze_text is None or record.gaze_text == "":
+            continue
+        if record.timestamp_ms is None:
+            dropped += 1
+            continue
+        try:
+            x, y = parse_coordinate_string(record.gaze_text)
+        except CoordinateParseError:
+            dropped += 1
+            continue
+        if x == 0 and y == 0:
+            dropped += 1
+            continue
+        if not (0 <= x <= geometry.width_px and 0 <= y <= geometry.height_px):
+            dropped += 1
+            continue
+        samples.append(GazeSample(t_ms=record.timestamp_ms, x_px=x, y_px=y))
+    samples.sort(key=lambda s: s.t_ms)
+    return samples, dropped
+
+
+def normalize_timestamps(samples: Sequence[GazeSample]) -> list[GazeSample]:
+    """Shift timestamps so the first sample sits at 0; gaps are preserved."""
+    if not samples:
+        return []
+    offset = samples[0].t_ms
+    return [replace(s, t_ms=s.t_ms - offset) for s in samples]
+
+
+def _parse_timestamp(text: str) -> int | None:
+    text = text.strip()
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return int(math.floor(value + 0.5)) if abs(value) < MAX_ABS_TIMESTAMP_MS else None
+
+
+def _parse_bool(text: str) -> bool | None:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    return None
+
+
+def load_level_csv(
+    path: str | Path,
+    level: int,
+    student_id: str,
+    geometry: ScreenGeometry = ScreenGeometry(),
+) -> LevelSession:
+    """Row records first, then cleaning, sorting and normalization."""
+    path = Path(path)
+    if level not in VALID_LEVELS:
+        raise SessionLoadError(f"level must be in {VALID_LEVELS}, got {level}", path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such session file: {path}")
+
+    records: list[RawRecord] = []
+    events: list[tuple[int, GameEvent]] = []
+    placements: list[tuple[int, ObjectPlacement]] = []
+
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SessionLoadError("empty file, expected canonical header", path, 1)
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise SessionLoadError(
+                f"malformed header {header!r}, expected {CSV_HEADER!r}", path, 1
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise SessionLoadError(
+                    f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line_no
+                )
+            ts_text, gaze, object_pos, aoi_w, aoi_h, event_kind, event_correct = (
+                cell.strip() for cell in row
+            )
+            t_ms = _parse_timestamp(ts_text)
+
+            if gaze:
+                records.append(RawRecord(timestamp_ms=t_ms, gaze_text=gaze))
+
+            if object_pos:
+                if t_ms is None:
+                    raise SessionLoadError(
+                        "placement row without timestamp", path, line_no, "timestamp_ms"
+                    )
+                try:
+                    ox, oy = parse_coordinate_string(object_pos)
+                except CoordinateParseError as exc:
+                    raise SessionLoadError(str(exc), path, line_no, "object_pos") from exc
+                try:
+                    w = float(aoi_w)
+                    h = float(aoi_h)
+                except ValueError as exc:
+                    raise SessionLoadError(
+                        f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
+                    ) from exc
+                try:
+                    placement = ObjectPlacement(
+                        t_ms=t_ms, obj_x_px=ox, obj_y_px=oy, aoi_w_px=w, aoi_h_px=h
+                    )
+                except ValueError as exc:
+                    raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
+                placements.append((t_ms, placement))
+
+            if event_kind and event_kind != "other":
+                if event_kind not in EVENT_KINDS_SCORED:
+                    raise SessionLoadError(
+                        f"unknown event kind {event_kind!r}", path, line_no, "event_kind"
+                    )
+                if t_ms is None:
+                    raise SessionLoadError(
+                        "event row without timestamp", path, line_no, "timestamp_ms"
+                    )
+                correct = _parse_bool(event_correct)
+                if correct is None:
+                    raise SessionLoadError(
+                        f"bad event_correct value {event_correct!r}",
+                        path,
+                        line_no,
+                        "event_correct",
+                    )
+                events.append((t_ms, GameEvent(t_ms=t_ms, kind=event_kind, correct=correct)))
+
+    samples, dropped = clean_samples(records, geometry)
+    offset = samples[0].t_ms if samples else 0
+    samples = normalize_timestamps(samples)
+    events.sort(key=lambda pair: pair[0])
+    placements.sort(key=lambda pair: pair[0])
+    return LevelSession(
+        student_id=student_id,
+        level=level,
+        samples=tuple(samples),
+        events=tuple(replace(ev, t_ms=ev.t_ms - offset) for _, ev in events),
+        placements=tuple(replace(pl, t_ms=pl.t_ms - offset) for _, pl in placements),
+        geometry=geometry,
+        dropped_samples=dropped,
+    )

@@ -156,6 +156,29 @@ class TestMalformedInput:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"max_impact": Infinity}', '{"excess_period_threshold": NaN}',
+         '{"tau_min_ms": 400.5}', '{"gap_tolerance_ms": 1e400}', '{"alpha1": -Infinity}'],
+    )
+    def test_non_finite_or_fractional_config_value(self, fixture_dir, tmp_path, capsys,
+                                                   content):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["analyze", "--in", str(fixture_dir), "--out", str(out),
+                     "--config", str(config_path)])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--max-impact", "--mastery-min", "--gamma"])
+    def test_non_finite_config_flag(self, fixture_dir, tmp_path, capsys, flag):
+        code = main(["analyze", "--in", str(fixture_dir), "--out", str(tmp_path / "out"),
+                     flag, "inf"])
+        assert code == EXIT_CONFIG
+        assert "must be" in capsys.readouterr().err
+
     def test_malformed_config_json_exits_without_traceback(self, tmp_path):
         in_dir = _session_dir(tmp_path, GAZE_ROWS)
         config_path = tmp_path / "config.json"

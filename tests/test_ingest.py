@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,12 +14,10 @@ from gazescore.ingest import (
     GazeSample,
     LevelSession,
     ObjectPlacement,
-    RawRecord,
+    SampleColumns,
     SessionLoadError,
-    clean_samples,
     load_level_csv,
     merge_levels,
-    normalize_timestamps,
     parse_coordinate_string,
     write_level_csv,
 )
@@ -49,70 +48,55 @@ class TestParseCoordinateString:
             parse_coordinate_string(bad)
 
 
+def _write(path, rows):
+    lines = [",".join(CSV_HEADER)] + rows
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _gaze_rows(rows):
+    """Gaze-only CSV rows from (timestamp text, gaze text) pairs."""
+    return [f'{t},"{gaze}",,,,,' for t, gaze in rows]
+
+
+def _load(directory, rows):
+    path = directory / "s1_level1.csv"
+    _write(path, rows)
+    session = load_level_csv(path, 1, "s1", GEO)
+    return list(session.samples), session.dropped_samples
+
+
 class TestCleanSamples:
-    def test_drops_zero_coordinates(self):
-        records = [
-            RawRecord(timestamp_ms=5, gaze_text="(0, 0)"),
-            RawRecord(timestamp_ms=10, gaze_text="(100, 200)"),
-        ]
-        samples, dropped = clean_samples(records, GEO)
-        assert samples == [GazeSample(10, 100.0, 200.0)]
+    def test_drops_zero_coordinates(self, tmp_path):
+        samples, dropped = _load(tmp_path, _gaze_rows([(5, "(0, 0)"), (10, "(100, 200)")]))
+        assert samples == [GazeSample(0, 100.0, 200.0)]
         assert dropped == 1
 
-    def test_empty_input(self):
-        assert clean_samples([], GEO) == ([], 0)
+    def test_empty_input(self, tmp_path):
+        assert _load(tmp_path, []) == ([], 0)
 
-    def test_out_of_bounds_dropped(self):
-        records = [
-            RawRecord(timestamp_ms=0, gaze_text="(10, 10)"),
-            RawRecord(timestamp_ms=1, gaze_text="(2000, 500)"),
-            RawRecord(timestamp_ms=2, gaze_text="(500, 500)"),
-            RawRecord(timestamp_ms=3, gaze_text="(960, 1080)"),
-        ]
-        samples, dropped = clean_samples(records, GEO)
+    def test_out_of_bounds_dropped(self, tmp_path):
+        rows = [(0, "(10, 10)"), (1, "(2000, 500)"), (2, "(500, 500)"), (3, "(960, 1080)")]
+        samples, dropped = _load(tmp_path, _gaze_rows(rows))
         assert len(samples) == 3
         assert dropped == 1
 
-    def test_out_of_bounds_kept_when_disabled(self):
-        records = [RawRecord(timestamp_ms=1, gaze_text="(2000, 500)")]
-        samples, dropped = clean_samples(records, GEO, drop_out_of_bounds=False)
-        assert len(samples) == 1 and dropped == 0
+    def test_missing_timestamp_dropped(self, tmp_path):
+        assert _load(tmp_path, _gaze_rows([("", "(5, 5)")])) == ([], 1)
 
-    def test_missing_timestamp_dropped(self):
-        records = [RawRecord(timestamp_ms=None, gaze_text="(5, 5)")]
-        assert clean_samples(records, GEO) == ([], 1)
+    def test_event_rows_not_counted(self, tmp_path):
+        samples, dropped = _load(tmp_path, ["1,,,,,answer,true", '2,"(1, 1)",,,,,'])
+        assert len(samples) + dropped == 1  # only the gaze-bearing row counts
 
-    def test_event_rows_not_counted(self):
-        records = [
-            RawRecord(timestamp_ms=1, event_kind="answer", event_correct=True),
-            RawRecord(timestamp_ms=2, gaze_text="(1, 1)"),
-        ]
-        samples, dropped = clean_samples(records, GEO)
-        assert len(samples) + dropped == 1  # only the gaze-bearing record counts
-
-    def test_sorted_with_stable_ties(self):
-        records = [
-            RawRecord(timestamp_ms=7, gaze_text="(1, 1)"),
-            RawRecord(timestamp_ms=3, gaze_text="(2, 2)"),
-            RawRecord(timestamp_ms=7, gaze_text="(3, 3)"),
-        ]
-        samples, _ = clean_samples(records, GEO)
-        assert [s.t_ms for s in samples] == [3, 7, 7]
+    def test_sorted_with_stable_ties(self, tmp_path):
+        samples, _ = _load(tmp_path, _gaze_rows([(7, "(1, 1)"), (3, "(2, 2)"), (7, "(3, 3)")]))
+        assert [s.t_ms for s in samples] == [0, 4, 4]
         assert [s.x_px for s in samples] == [2.0, 1.0, 3.0]
 
-    def test_idempotent(self):
-        records = [
-            RawRecord(timestamp_ms=5, gaze_text="(0, 0)"),
-            RawRecord(timestamp_ms=1, gaze_text="(bad"),
-            RawRecord(timestamp_ms=10, gaze_text="(100, 200)"),
-            RawRecord(timestamp_ms=2, gaze_text="(5000, 5)"),
-        ]
-        samples, _ = clean_samples(records, GEO)
-        again = [
-            RawRecord(timestamp_ms=s.t_ms, gaze_text=f"({s.x_px}, {s.y_px})")
-            for s in samples
-        ]
-        resamples, dropped = clean_samples(again, GEO)
+    def test_idempotent(self, tmp_path):
+        rows = [(5, "(0, 0)"), (1, "(bad"), (10, "(100, 200)"), (2, "(5000, 5)")]
+        samples, _ = _load(tmp_path, _gaze_rows(rows))
+        again = _gaze_rows((s.t_ms, f"({s.x_px}, {s.y_px})") for s in samples)
+        resamples, dropped = _load(tmp_path, again)
         assert resamples == samples and dropped == 0
 
     @given(
@@ -125,42 +109,37 @@ class TestCleanSamples:
             max_size=40,
         )
     )
-    def test_count_invariant(self, rows):
-        records = [
-            RawRecord(timestamp_ms=t, gaze_text=f"({x}, {y})") for t, x, y in rows
-        ]
-        samples, dropped = clean_samples(records, GEO)
-        assert len(samples) + dropped == len(records)
+    def test_count_invariant(self, tmp_path_factory, rows):
+        samples, dropped = _load(
+            tmp_path_factory.mktemp("count"), _gaze_rows((t, f"({x}, {y})") for t, x, y in rows)
+        )
+        assert len(samples) + dropped == len(rows)
 
 
 class TestNormalizeTimestamps:
-    def test_offset_subtraction(self):
-        samples = [GazeSample(1000, 1, 1), GazeSample(1016, 2, 2), GazeSample(1033, 3, 3)]
-        assert [s.t_ms for s in normalize_timestamps(samples)] == [0, 16, 33]
+    def test_offset_subtraction(self, tmp_path):
+        rows = [(1000, "(1, 1)"), (1016, "(2, 2)"), (1033, "(3, 3)")]
+        samples, _ = _load(tmp_path, _gaze_rows(rows))
+        assert [s.t_ms for s in samples] == [0, 16, 33]
 
-    def test_identity(self):
-        samples = [GazeSample(0, 1, 1)]
-        assert normalize_timestamps(samples) == samples
+    def test_identity(self, tmp_path):
+        samples, _ = _load(tmp_path, _gaze_rows([(0, "(1, 1)")]))
+        assert samples == [GazeSample(0, 1, 1)]
 
-    def test_duplicates_preserved(self):
-        samples = [GazeSample(500, 1, 1), GazeSample(500, 2, 2)]
-        assert [s.t_ms for s in normalize_timestamps(samples)] == [0, 0]
+    def test_duplicates_preserved(self, tmp_path):
+        samples, _ = _load(tmp_path, _gaze_rows([(500, "(1, 1)"), (500, "(2, 2)")]))
+        assert [s.t_ms for s in samples] == [0, 0]
 
-    def test_empty(self):
-        assert normalize_timestamps([]) == []
+    def test_empty(self, tmp_path):
+        samples, _ = _load(tmp_path, [])
+        assert samples == []
 
     @given(st.lists(st.integers(0, 10**6), min_size=2, max_size=30))
-    def test_gaps_preserved(self, times):
+    def test_gaps_preserved(self, tmp_path_factory, times):
         times.sort()
-        samples = [GazeSample(t, 1, 1) for t in times]
-        out = normalize_timestamps(samples)
+        out, _ = _load(tmp_path_factory.mktemp("gaps"), _gaze_rows((t, "(1, 1)") for t in times))
         for i in range(len(times) - 1):
             assert out[i + 1].t_ms - out[i].t_ms == times[i + 1] - times[i]
-
-
-def _write(path, rows):
-    lines = [",".join(CSV_HEADER)] + rows
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestLoadLevelCsv:
@@ -184,14 +163,14 @@ class TestLoadLevelCsv:
         _write(path, [])
         with caplog.at_level(logging.WARNING):
             session = load_level_csv(path, 1, "s1")
-        assert session.samples == ()
+        assert len(session.samples) == 0
         assert any("no valid gaze samples" in r.message for r in caplog.records)
 
     def test_all_zero_gaze(self, tmp_path):
         path = tmp_path / "s1_level1.csv"
         _write(path, ['1,"(0, 0)",,,,,', '2,"(0, 0)",,,,,'])
         session = load_level_csv(path, 1, "s1")
-        assert session.samples == () and session.dropped_samples == 2
+        assert len(session.samples) == 0 and session.dropped_samples == 2
 
     def test_events_and_placements(self, tmp_path):
         path = tmp_path / "s1_level2.csv"
@@ -292,6 +271,44 @@ class TestLoadLevelCsv:
         path.write_bytes(body.encode("utf-8"))
         session = load_level_csv(path, 1, "s1")
         assert len(session.samples) == 2
+
+
+class TestSampleColumns:
+    def test_views_and_columns(self):
+        columns = SampleColumns([0, 16, 40], [1, 2.5, 3], [4, 5, 6.25])
+        assert len(columns) == 3
+        assert columns[0] == GazeSample(0, 1.0, 4.0)
+        assert columns[-1] == GazeSample(40, 3.0, 6.25)
+        assert list(columns) == [columns[0], columns[1], columns[2]]
+        assert columns.t_ms.dtype == np.int64
+        assert columns.x_px.dtype == columns.y_px.dtype == np.float64
+
+    def test_columns_read_only(self):
+        columns = SampleColumns([0], [1.0], [2.0])
+        with pytest.raises(ValueError):
+            columns.t_ms[0] = 5
+
+    def test_equality_by_columns(self):
+        a = SampleColumns([0, 1], [1.0, 2.0], [3.0, 4.0])
+        assert a == SampleColumns(np.array([0, 1]), [1, 2], [3, 4])
+        assert a != SampleColumns([0, 2], [1.0, 2.0], [3.0, 4.0])
+        assert a != [GazeSample(0, 1.0, 3.0), GazeSample(1, 2.0, 4.0)]
+
+    def test_session_converts_gaze_samples(self):
+        samples = (GazeSample(0, 1, 2), GazeSample(5, 3, 4))
+        session = LevelSession("s", 1, samples, (), ())
+        assert isinstance(session.samples, SampleColumns)
+        assert tuple(session.samples) == samples
+        assert session == LevelSession("s", 1, list(samples), (), ())
+        assert len(LevelSession("s", 1, (), (), ()).samples) == 0
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            SampleColumns([0, 1], [1.0], [2.0, 3.0])
+
+    def test_slices_rejected(self):
+        with pytest.raises(TypeError):
+            SampleColumns([0, 1], [1.0, 2.0], [3.0, 4.0])[0:1]
 
 
 class TestRoundTrip:

@@ -119,6 +119,44 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScoringConfig(alpha1=-1)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["alpha1", "alpha2", "gamma", "delta", "tau_min_ms", "tau_sustained_ms",
+         "gap_tolerance_ms", "excess_period_threshold", "max_impact",
+         "calibration_excellent", "calibration_good", "calibration_fair",
+         "mastery_min", "developing_min"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ScoringConfig.from_dict({name: value})
+
+    def test_non_finite_per_level_max_impact_rejected(self):
+        with pytest.raises(ConfigError, match="max_impact"):
+            ScoringConfig.from_dict({"max_impact": {"1": 5, "2": float("inf"), "3": 20}})
+
+    @pytest.mark.parametrize(
+        "name", ["tau_min_ms", "tau_sustained_ms", "gap_tolerance_ms", "excess_period_threshold"]
+    )
+    def test_fractional_integer_fields_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ScoringConfig.from_dict({name: 400.5})
+
+    def test_whole_float_integer_fields_accepted(self):
+        config = ScoringConfig.from_dict({"tau_min_ms": 300.0, "gap_tolerance_ms": 120.0})
+        assert config.tau_min_ms == 300 and config.gap_tolerance_ms == 120
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"max_impact": Infinity}', '{"excess_period_threshold": NaN}',
+         '{"tau_min_ms": 400.5}', '{"gap_tolerance_ms": 1e400}'],
+    )
+    def test_from_file_rejects_non_finite_and_fractional(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            ScoringConfig.from_file(path)
+
 
 class TestLevelBonus:
     def test_level_one_worked_example(self):

@@ -109,8 +109,8 @@ class TestPearson:
 
     @pytest.mark.parametrize(
         "m",
-        [[0.5, 0.5 + 9.467340811979241e-14], [0.0, 1.5473850336077475e-158]],
-        ids=["spread-tiny-next-to-values", "squares-underflow"],
+        [[0.5, 0.5 + 9.467340811979241e-14], [0.0, 1.5473850336077475e-158], [0.0, 5e-324]],
+        ids=["spread-tiny-next-to-values", "squares-underflow", "subnormal-values"],
     )
     def test_two_distinct_values_correlate_exactly(self, m):
         # Any two distinct points lie on a line: r is exactly +-1.
@@ -145,6 +145,29 @@ class TestPearson:
         if base is None or scaled is None:
             return
         assert scaled == pytest.approx(base, abs=1e-9)
+
+
+class TestCorrelationRange:
+    def test_pearson_equal_series_exactly_one(self):
+        # The unclamped quotient is 1.0000000000000002 here.
+        assert pearson([0, 1, 0], [0, 1, 0]) == 1.0
+
+    @given(
+        m=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=20),
+        data=st.data(),
+    )
+    def test_coefficients_within_unit_interval(self, m, data):
+        t = data.draw(
+            st.one_of(
+                st.just(list(m)),
+                st.just([-v for v in m]),
+                st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(m),
+                         max_size=len(m)),
+            )
+        )
+        for coefficient in (pearson, spearman):
+            r = coefficient(m, t)
+            assert r is None or -1.0 <= r <= 1.0
 
 
 class TestSpearman:
