@@ -17,6 +17,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, replace
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -42,9 +43,24 @@ MAX_ABS_TIMESTAMP_MS = 2**62
 
 EVENT_KINDS_SCORED = ("mouse_click", "answer")
 
-_COORD_RE = re.compile(
-    r"^\s*\(\s*([+-]?(?:\d+\.?\d*|\.\d+))\s*,\s*([+-]?(?:\d+\.?\d*|\.\d+))\s*\)\s*$"
+_NUMBER = r"([+-]?(?:\d+\.?\d*|\.\d+))"
+_COORD_RE = re.compile(rf"^\s*\(\s*{_NUMBER}\s*,\s*{_NUMBER}\s*\)\s*$")
+# The same pair on each line of "\n".join(cells): whitespace stops at the
+# line break, and a line that holds no pair leaves its text in group 3.
+_LINE_WS = r"[^\S\n]"
+_GAZE_LINES_RE = re.compile(
+    rf"^{_LINE_WS}*(?:\({_LINE_WS}*{_NUMBER}{_LINE_WS}*,{_LINE_WS}*{_NUMBER}{_LINE_WS}*\)"
+    rf"{_LINE_WS}*$|(.*))",
+    re.MULTILINE,
 )
+
+# Data rows parsed per batch: a load holds at most this many rows as Python
+# lists, whatever the length of the level. A batch's row lists and match
+# tuples live together, so larger batches set off garbage collections that
+# rescan them (1 024 rows cost a full collection on a 37k-row job) and raise
+# peak memory on long levels; smaller ones pay the fixed NumPy cost per batch
+# (about 40 us) more often.
+_CHUNK_ROWS = 512
 
 _TRUE_VALUES = {"true", "1", "yes"}
 _FALSE_VALUES = {"false", "0", "no"}
@@ -219,22 +235,48 @@ def parse_coordinate_string(text: str) -> tuple[float, float]:
     return float(match.group(1)), float(match.group(2))
 
 
-def _round_half_up(value: float) -> int:
-    return int(math.floor(value + 0.5))
-
-
-def _parse_timestamp(text: str) -> int | None:
-    """Integer ms, or None for a blank, unparsable, non-finite or
-    out-of-range value. The range keeps every normalized time and time
-    difference inside the int64 columns of the analysis."""
+def _parse_timestamp(text: str) -> float:
+    """The float value of a timestamp cell, NaN for a blank or unparsable one."""
     text = text.strip()
-    if not text:
-        return None
     try:
-        value = float(text)
+        return float(text) if text else math.nan
     except ValueError:
-        return None
-    return _round_half_up(value) if abs(value) < MAX_ABS_TIMESTAMP_MS else None
+        return math.nan
+
+
+def _timestamp_values(cells: tuple[str, ...]) -> list[float]:
+    """``float`` of every cell in one C-level pass; only the cells it rejects
+    go through ``_parse_timestamp``. ``float`` itself ignores surrounding
+    ASCII whitespace, so a cell it accepts has the same value stripped."""
+    values: list[float] = []
+    rest = iter(cells)
+    while True:
+        try:
+            values.extend(map(float, rest))  # keeps the values before a failure
+            return values
+        except ValueError:
+            values.append(_parse_timestamp(cells[len(values)]))
+
+
+def _cell_fields(cell: str) -> tuple[str, str, str]:
+    cell = cell.strip()
+    match = _COORD_RE.match(cell)
+    return (match[1], match[2], "") if match else ("", "", cell)
+
+
+def _gaze_fields(cells: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """x text, y text and leftover text per gaze cell: x and y are set for a
+    coordinate pair, the leftover for anything else, none for a blank cell.
+
+    One ``findall`` over the joined column does the work; a column with a
+    line break inside a cell goes cell by cell instead.
+    """
+    joined = "\n".join(cells)
+    if joined.count("\n") == len(cells) - 1:
+        found = _GAZE_LINES_RE.findall(joined)
+    else:
+        found = list(map(_cell_fields, cells))
+    return tuple(zip(*found)) or ((), (), ())
 
 
 def _parse_bool(text: str) -> bool | None:
@@ -244,6 +286,151 @@ def _parse_bool(text: str) -> bool | None:
     if lowered in _FALSE_VALUES:
         return False
     return None
+
+
+def _add_facets(
+    row: list[str],
+    t_ms: int | None,
+    path: Path,
+    line_no: int,
+    placements: list[ObjectPlacement],
+    events: list[GameEvent],
+) -> None:
+    """Append the placement and the scored event one row carries, if any."""
+    _, _, object_pos, aoi_w, aoi_h, event_kind, event_correct = row
+    object_pos = object_pos.strip()
+    if object_pos:
+        if t_ms is None:
+            raise SessionLoadError(
+                "placement row without timestamp", path, line_no, "timestamp_ms"
+            )
+        try:
+            ox, oy = parse_coordinate_string(object_pos)
+        except CoordinateParseError as exc:
+            raise SessionLoadError(str(exc), path, line_no, "object_pos") from exc
+        aoi_w, aoi_h = aoi_w.strip(), aoi_h.strip()
+        try:
+            w = float(aoi_w)
+            h = float(aoi_h)
+        except ValueError as exc:
+            raise SessionLoadError(
+                f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
+            ) from exc
+        try:
+            placements.append(ObjectPlacement(t_ms, ox, oy, w, h))
+        except ValueError as exc:
+            raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
+
+    event_kind = event_kind.strip()
+    if event_kind and event_kind != "other":
+        if event_kind not in EVENT_KINDS_SCORED:
+            raise SessionLoadError(
+                f"unknown event kind {event_kind!r}", path, line_no, "event_kind"
+            )
+        if t_ms is None:
+            raise SessionLoadError(
+                "event row without timestamp", path, line_no, "timestamp_ms"
+            )
+        correct = _parse_bool(event_correct)
+        if correct is None:
+            raise SessionLoadError(
+                f"bad event_correct value {event_correct.strip()!r}",
+                path,
+                line_no,
+                "event_correct",
+            )
+        events.append(GameEvent(t_ms, event_kind, correct))
+
+
+def _parse_rows(
+    rows: list[list[str]],
+    first_line: int,
+    path: Path,
+    geometry: ScreenGeometry,
+    placements: list[ObjectPlacement],
+    events: list[GameEvent],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Kept t, x and y columns (file order) and the drop count of a batch of
+    data rows, the first of them on line ``first_line``.
+
+    Timestamps, gaze cells and the drop rules run on whole columns. Only
+    rows with a placement or event cell and rows of the wrong length are
+    visited one by one, in file order, so the first error is the first
+    faulty row's.
+    """
+    width = len(CSV_HEADER)
+    lengths = list(map(len, rows))
+    if lengths.count(width) == len(rows):
+        good, where, visits = rows, range(len(rows)), {}
+    else:
+        where = [i for i, n in enumerate(lengths) if n == width]
+        good = [rows[i] for i in where]
+        visits = {i: None for i, n in enumerate(lengths) if n != width}
+    ts_cells, gaze_cells, object_cells, _, _, kind_cells, _ = (
+        tuple(zip(*good)) or ((),) * width
+    )
+
+    t = np.array(_timestamp_values(ts_cells), dtype=np.float64)
+    # False for NaN and infinities. The range keeps every normalized time and
+    # time difference inside the int64 columns of the analysis.
+    usable = np.abs(t) < MAX_ABS_TIMESTAMP_MS
+    t_ms = np.floor(np.where(usable, t, 0.0) + 0.5).astype(np.int64)
+
+    indices = range(len(good))
+    facet_rows = set(compress(indices, object_cells)).union(compress(indices, kind_cells))
+    visits.update((where[j], j) for j in facet_rows)
+    for i in sorted(visits):
+        j = visits[i]
+        if j is None:
+            if any(cell.strip() for cell in rows[i]):
+                raise SessionLoadError(
+                    f"expected {width} fields, got {len(rows[i])}", path, first_line + i
+                )
+            continue
+        t_row = int(t_ms[j]) if usable[j] else None
+        _add_facets(good[j], t_row, path, first_line + i, placements, events)
+
+    xs, ys, rest = _gaze_fields(gaze_cells)
+    parsed = np.fromiter(map(bool, xs), dtype=bool, count=len(xs))
+    x = np.zeros(len(xs))
+    y = np.zeros(len(ys))
+    x[parsed] = list(map(float, filter(None, xs)))
+    y[parsed] = list(map(float, filter(None, ys)))
+    keep = (
+        parsed
+        & usable
+        & ((x != 0) | (y != 0))
+        & (0 <= x) & (x <= geometry.width_px)
+        & (0 <= y) & (y <= geometry.height_px)
+    )
+    given = parsed | np.fromiter(map(bool, rest), dtype=bool, count=len(rest))
+    dropped = int(np.count_nonzero(given)) - int(np.count_nonzero(keep))
+    return t_ms[keep], x[keep], y[keep], dropped
+
+
+def _read_rows(reader, size: int) -> tuple[list[list[str]], Exception | None]:
+    """Up to ``size`` rows, and the read error that cut them short, if any."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(islice(reader, size))  # keeps the rows before a failure
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _read_error(exc: Exception, path: Path, line_no: int) -> SessionLoadError:
+    if isinstance(exc, UnicodeDecodeError):
+        # The reader decodes ahead of the rows, so find the byte in the file.
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            return SessionLoadError(
+                f"not UTF-8 text: {whole.reason} at byte {whole.start}",
+                path,
+                data.count(b"\n", 0, whole.start) + 1,
+            )
+    return SessionLoadError(f"unreadable CSV row: {exc}", path, line_no)
 
 
 def load_level_csv(
@@ -260,7 +447,9 @@ def load_level_csv(
     Samples are sorted by timestamp (stable for ties) and shifted so the
     first sits at 0; events and placements shift by the same offset.
     Malformed event or placement fields are structural errors and raise
-    SessionLoadError with file, line and field context.
+    SessionLoadError with file, line and field context, as do bytes that
+    are not UTF-8 and rows the CSV reader rejects (a field over its size
+    limit).
     """
     path = Path(path)
     if level not in VALID_LEVELS:
@@ -268,97 +457,40 @@ def load_level_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such session file: {path}")
 
-    width, height = geometry.width_px, geometry.height_px
-    ts: list[int] = []
-    xs: list[float] = []
-    ys: list[float] = []
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     dropped = 0
     events: list[GameEvent] = []
     placements: list[ObjectPlacement] = []
 
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header, error = _read_rows(reader, 1)
+        if error is not None:
+            raise _read_error(error, path, 1)
+        if not header:
             raise SessionLoadError("empty file, expected canonical header", path, 1)
-        if [h.strip() for h in header] != CSV_HEADER:
+        if [h.strip() for h in header[0]] != CSV_HEADER:
             raise SessionLoadError(
-                f"malformed header {header!r}, expected {CSV_HEADER!r}", path, 1
+                f"malformed header {header[0]!r}, expected {CSV_HEADER!r}", path, 1
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                if any(cell.strip() for cell in row):
-                    raise SessionLoadError(
-                        f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line_no
-                    )
-                continue
-            ts_text, gaze, object_pos, aoi_w, aoi_h, event_kind, event_correct = row
-            t_ms = _parse_timestamp(ts_text)
+        line_no = 2
+        while True:
+            rows, error = _read_rows(reader, _CHUNK_ROWS)
+            t, x, y, n_dropped = _parse_rows(rows, line_no, path, geometry, placements, events)
+            kept.append((t, x, y))
+            dropped += n_dropped
+            if error is not None:
+                raise _read_error(error, path, line_no + len(rows))
+            if len(rows) < _CHUNK_ROWS:
+                break
+            line_no += len(rows)
 
-            gaze = gaze.strip()
-            if gaze:
-                match = None if t_ms is None else _COORD_RE.match(gaze)
-                if match is None:
-                    dropped += 1
-                else:
-                    x, y = float(match[1]), float(match[2])
-                    if (x == 0 and y == 0) or not (0 <= x <= width and 0 <= y <= height):
-                        dropped += 1
-                    else:
-                        ts.append(t_ms)
-                        xs.append(x)
-                        ys.append(y)
-
-            object_pos = object_pos.strip()
-            if object_pos:
-                if t_ms is None:
-                    raise SessionLoadError(
-                        "placement row without timestamp", path, line_no, "timestamp_ms"
-                    )
-                try:
-                    ox, oy = parse_coordinate_string(object_pos)
-                except CoordinateParseError as exc:
-                    raise SessionLoadError(str(exc), path, line_no, "object_pos") from exc
-                aoi_w, aoi_h = aoi_w.strip(), aoi_h.strip()
-                try:
-                    w = float(aoi_w)
-                    h = float(aoi_h)
-                except ValueError as exc:
-                    raise SessionLoadError(
-                        f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
-                    ) from exc
-                try:
-                    placements.append(ObjectPlacement(t_ms, ox, oy, w, h))
-                except ValueError as exc:
-                    raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
-
-            event_kind = event_kind.strip()
-            if event_kind and event_kind != "other":
-                if event_kind not in EVENT_KINDS_SCORED:
-                    raise SessionLoadError(
-                        f"unknown event kind {event_kind!r}", path, line_no, "event_kind"
-                    )
-                if t_ms is None:
-                    raise SessionLoadError(
-                        "event row without timestamp", path, line_no, "timestamp_ms"
-                    )
-                correct = _parse_bool(event_correct)
-                if correct is None:
-                    raise SessionLoadError(
-                        f"bad event_correct value {event_correct.strip()!r}",
-                        path,
-                        line_no,
-                        "event_correct",
-                    )
-                events.append(GameEvent(t_ms, event_kind, correct))
-
-    if not ts:
+    t, x, y = (np.concatenate(column) for column in zip(*kept))
+    if not len(t):
         log.warning("%s: no valid gaze samples (dropped=%d)", path, dropped)
-    t = np.array(ts, dtype=np.int64)
     order = np.argsort(t, kind="stable")
     offset = int(t[order[0]]) if len(t) else 0
-    samples = SampleColumns(t[order] - offset, np.array(xs)[order], np.array(ys)[order])
+    samples = SampleColumns(t[order] - offset, x[order], y[order])
 
     def shifted(items):
         ordered = sorted(items, key=operator.attrgetter("t_ms"))

@@ -7,11 +7,13 @@ byte-identical files.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .pipeline import SessionAnalysis
 from .validation import ValidationReport, classify_assessment
@@ -135,9 +137,11 @@ def build_report(
     return doc
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, texts: Iterable[str]) -> None:
+    """Write the texts to a staged file, then rename it over ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
+    with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(texts)
     os.replace(tmp, path)
 
 
@@ -145,33 +149,45 @@ def write_report(report: dict, path: str | Path) -> Path:
     """Write the report JSON atomically (staged then renamed)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(report, indent=2) + "\n"])
     return path
 
 
-def _write_csv_atomic(path: Path, header: list[str], rows: Iterable) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+def _csv_line(values: Iterable) -> str:
+    """One CSV line as ``csv.writer`` writes cells that need no quoting:
+    ``str`` of each value (``repr`` for floats), None as an empty cell."""
+    return ",".join("" if v is None else str(v) for v in values) + "\n"
 
 
-def _sample_rows(analysis: SessionAnalysis) -> Iterator[tuple]:
-    """(t, x, y, quadrant, aoi_label) rows, made 8192 samples at a time so a
-    long session never holds one Python row per sample."""
+def _write_csv_atomic(path: Path, header: list[str], lines: Iterable[str]) -> None:
+    _atomic_write(path, chain([_csv_line(header)], lines))
+
+
+# ",<quadrant>,<aoi label>\n" at index quadrant code * len(AOI_ORDER) + AoI code.
+_SAMPLE_TAILS = tuple(f",{q.value},{a.value}\n" for q in QUADRANT_ORDER for a in AOI_ORDER)
+
+# Samples formatted per join: bounds the Python strings and numbers one
+# chunk holds (about 250 B per sample) on long levels.
+_CHUNK_SAMPLES = 2048
+
+
+def _sample_lines(analysis: SessionAnalysis) -> Iterator[str]:
+    """(t, x, y, quadrant, aoi_label) lines, joined one chunk of samples at
+    a time so a long session never holds one Python line per sample."""
     s = analysis.session.samples
-    quadrant_values = [q.value for q in QUADRANT_ORDER]
-    aoi_values = [a.value for a in AOI_ORDER]
-    for lo in range(0, len(s), 8192):
-        part = slice(lo, lo + 8192)
-        yield from zip(
-            s.t_ms[part].tolist(),
-            s.x_px[part].tolist(),
-            s.y_px[part].tolist(),
-            map(quadrant_values.__getitem__, analysis.quadrant_labels[part].tolist()),
-            map(aoi_values.__getitem__, analysis.aoi_labels[part].tolist()),
+    tails = analysis.quadrant_labels.astype(np.intp) * len(AOI_ORDER) + analysis.aoi_labels
+    for lo in range(0, len(s), _CHUNK_SAMPLES):
+        part = slice(lo, lo + _CHUNK_SAMPLES)
+        yield "".join(
+            [
+                f"{t},{x!r},{y!r}{tail}"
+                for t, x, y, tail in zip(
+                    s.t_ms[part].tolist(),
+                    s.x_px[part].tolist(),
+                    s.y_px[part].tolist(),
+                    map(_SAMPLE_TAILS.__getitem__, tails[part].tolist()),
+                )
+            ]
         )
 
 
@@ -195,7 +211,7 @@ def emit_plot_data(
         _write_csv_atomic(
             sample_path,
             ["t_ms", "x_px", "y_px", "quadrant", "aoi_label"],
-            _sample_rows(analysis),
+            _sample_lines(analysis),
         )
         written.append(sample_path)
 
@@ -207,7 +223,7 @@ def emit_plot_data(
         _write_csv_atomic(
             period_path,
             ["index", "t_start_ms", "t_end_ms", "duration_ms", "aoi", "sustained"],
-            period_rows,
+            map(_csv_line, period_rows),
         )
         written.append(period_path)
 
@@ -237,7 +253,7 @@ def emit_plot_data(
             "sigma_sustained",
             "temporal_impact",
         ],
-        summary_rows,
+        map(_csv_line, summary_rows),
     )
     written.append(summary_path)
     return written

@@ -50,10 +50,11 @@ class ConfigError(ValueError):
 
 
 def _as_max_impact(value) -> Mapping[int, float]:
-    if isinstance(value, Mapping):
-        mapping = {int(k): float(v) for k, v in value.items()}
-    else:
-        mapping = {level: float(value) for level in LEVELS}
+    pairs = list(value.items()) if isinstance(value, Mapping) else [(lv, value) for lv in LEVELS]
+    # bool is an int subclass, but true/false is no level or bound.
+    if any(isinstance(item, bool) for pair in pairs for item in pair):
+        raise ConfigError(f"max_impact must hold numbers, not booleans: {value!r}")
+    mapping = {int(k): float(v) for k, v in pairs}
     missing = [level for level in LEVELS if level not in mapping]
     if missing:
         raise ConfigError(f"max_impact missing levels {missing}")
@@ -86,6 +87,12 @@ class ScoringConfig:
         # Before any comparison: NaN passes every one of them.
         for f in fields(self):
             value = getattr(self, f.name)
+            # bool is an int subclass: true/false must not pass as 1/0, nor
+            # a string such as "false" as a switch.
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            if f.type != "bool" and isinstance(value, bool):
+                raise ConfigError(f"{f.name} must not be a boolean, got {value}")
             if f.type in ("int", "float") and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.type == "int" and value != int(value):

@@ -13,7 +13,7 @@ from typing import Sequence, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .ingest import GazeSample, LevelSession, ObjectPlacement
+    from .ingest import GazeSample, LevelSession, ObjectPlacement, SampleColumns
 
 
 class Quadrant(Enum):
@@ -106,10 +106,12 @@ def label_codes(labels: Sequence[Enum] | np.ndarray, order: tuple[Enum, ...]) ->
     return np.fromiter(map(index.__getitem__, labels), dtype=np.int8, count=len(labels))
 
 
-def sample_times(samples: Sequence[GazeSample] | np.ndarray) -> np.ndarray:
-    """int64 timestamps of the samples; an array is taken as the timestamps."""
-    if isinstance(samples, np.ndarray):
-        return samples.astype(np.int64, copy=False)
+def sample_times(samples: Sequence[GazeSample] | SampleColumns | np.ndarray) -> np.ndarray:
+    """int64 timestamps of the samples; an array is taken as the timestamps
+    and ``SampleColumns`` gives its ``t_ms`` column."""
+    times = getattr(samples, "t_ms", samples)
+    if isinstance(times, np.ndarray):
+        return times.astype(np.int64, copy=False)
     return np.array([s.t_ms for s in samples], dtype=np.int64)
 
 

@@ -6,7 +6,8 @@ aggregates exclude the diagonal.
 
 Every stage takes labels as Enum sequences or as int8 code arrays in
 ``QUADRANT_ORDER`` / ``AOI_ORDER`` index order, and samples as
-``GazeSample`` sequences or as an int64 timestamp array.
+``GazeSample`` sequences, as ``SampleColumns`` or as an int64 timestamp
+array.
 """
 from __future__ import annotations
 
@@ -15,14 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import GazeSample
+from .ingest import GazeSample, SampleColumns
 from .spatial import (
     AOI_ORDER, LEFT_CODE, OUTSIDE_CODE, QUADRANT_ORDER, RIGHT_CODE, AoiLabel, Quadrant,
     label_codes, sample_times,
 )
 
 Labels = Sequence[Quadrant] | Sequence[AoiLabel] | np.ndarray
-Samples = Sequence[GazeSample] | np.ndarray
+Samples = Sequence[GazeSample] | SampleColumns | np.ndarray
 
 
 @dataclass(frozen=True)

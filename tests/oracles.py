@@ -1,18 +1,20 @@
-"""Per-sample reference implementations of the loader and the analysis stages.
+"""Per-sample reference implementations of the loader, the analysis stages
+and the plot-CSV emitter.
 
 These are the straightforward Python loops the columnar code in
-``gazescore`` replaced. They walk one record, one ``GazeSample`` and one
-Enum label at a time and serve as oracles in the equivalence property
-tests.
+``gazescore`` replaced. They walk one record, one ``GazeSample``, one
+Enum label or one CSV row at a time and serve as oracles in the
+equivalence property tests.
 """
 from __future__ import annotations
 
 import csv
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +32,15 @@ from gazescore.ingest import (
     SessionLoadError,
     parse_coordinate_string,
 )
-from gazescore.spatial import AoiLabel, Quadrant, ScreenGeometry, aoi_bounds
+from gazescore.report import _ratio, _score
+from gazescore.spatial import (
+    AOI_ORDER,
+    QUADRANT_ORDER,
+    AoiLabel,
+    Quadrant,
+    ScreenGeometry,
+    aoi_bounds,
+)
 from gazescore.transitions import DwellSummary
 
 _QUADRANT_INDEX = {q: i for i, q in enumerate(Quadrant)}
@@ -351,3 +361,88 @@ def load_level_csv(
         geometry=geometry,
         dropped_samples=dropped,
     )
+
+
+def _write_csv_atomic(path: Path, header: list[str], rows: Iterable) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    os.replace(tmp, path)
+
+
+def _sample_rows(analysis) -> Iterator[tuple]:
+    s = analysis.session.samples
+    quadrant_values = [q.value for q in QUADRANT_ORDER]
+    aoi_values = [a.value for a in AOI_ORDER]
+    for lo in range(0, len(s), 8192):
+        part = slice(lo, lo + 8192)
+        yield from zip(
+            s.t_ms[part].tolist(),
+            s.x_px[part].tolist(),
+            s.y_px[part].tolist(),
+            map(quadrant_values.__getitem__, analysis.quadrant_labels[part].tolist()),
+            map(aoi_values.__getitem__, analysis.aoi_labels[part].tolist()),
+        )
+
+
+def emit_plot_data(analyses, out_dir: str | Path) -> list[Path]:
+    """Plot CSVs written row by row through ``csv.writer``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    ordered = sorted(analyses, key=lambda a: a.session.level)
+
+    for analysis in ordered:
+        level = analysis.session.level
+        sample_path = out_dir / f"samples_level{level}.csv"
+        _write_csv_atomic(
+            sample_path,
+            ["t_ms", "x_px", "y_px", "quadrant", "aoi_label"],
+            _sample_rows(analysis),
+        )
+        written.append(sample_path)
+
+        period_rows = [
+            [i, p.t_start_ms, p.t_end_ms, p.duration_ms, p.aoi.value, str(p.sustained).lower()]
+            for i, p in enumerate(analysis.periods)
+        ]
+        period_path = out_dir / f"periods_level{level}.csv"
+        _write_csv_atomic(
+            period_path,
+            ["index", "t_start_ms", "t_end_ms", "duration_ms", "aoi", "sustained"],
+            period_rows,
+        )
+        written.append(period_path)
+
+    summary_rows = [
+        [
+            a.session.level,
+            a.temporal.period_count,
+            a.temporal.sustained_count,
+            sum(p.duration_ms for p in a.periods),
+            _ratio(a.temporal.eta_temporal),
+            _score(a.temporal.mu_engagement_ms),
+            _ratio(a.temporal.sigma_sustained),
+            _score(a.breakdown.temporal_impact),
+        ]
+        for a in ordered
+    ]
+    summary_path = out_dir / "temporal_summary.csv"
+    _write_csv_atomic(
+        summary_path,
+        [
+            "level",
+            "period_count",
+            "sustained_count",
+            "engagement_ms",
+            "eta_temporal",
+            "mu_engagement_ms",
+            "sigma_sustained",
+            "temporal_impact",
+        ],
+        summary_rows,
+    )
+    written.append(summary_path)
+    return written

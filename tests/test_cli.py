@@ -106,6 +106,14 @@ class TestAnalyze:
         assert code == EXIT_CONFIG
 
 
+def _run_cli(*args):
+    """``python -m gazescore.cli`` in a fresh process, on this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "gazescore.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def _session_dir(tmp_path, rows):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -183,16 +191,27 @@ class TestMalformedInput:
         in_dir = _session_dir(tmp_path, GAZE_ROWS)
         config_path = tmp_path / "config.json"
         config_path.write_text('{"gamma": 1,', encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gazescore.cli", "analyze", "--in", str(in_dir),
-             "--out", str(tmp_path / "out"), "--config", str(config_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _run_cli("analyze", "--in", str(in_dir), "--out", str(tmp_path / "out"),
+                        "--config", str(config_path))
         assert proc.returncode == EXIT_CONFIG
         assert "bad JSON" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [(b'16,"(3, \xff4)",,,,,\n', "not UTF-8"),
+         (b'16,"' + b"5" * 131_073 + b'",,,,,\n', "field limit")],
+    )
+    def test_unreadable_bytes_are_data_errors(self, tmp_path, capsys, body, message):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS)
+        path = in_dir / "S1_level1.csv"
+        path.write_bytes(path.read_bytes() + body)
+        code = main(["analyze", "--in", str(in_dir), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert message in err and f"{path}:5]" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidate:
@@ -247,3 +266,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--nope"])
         assert exc.value.code == 2
+
+
+def _exit_case(tmp_path, case):
+    """CLI arguments (after ``analyze``) for one failure class."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    level = in_dir / "S1_level1.csv"
+    good = (",".join(CSV_HEADER) + "\n" + "\n".join(GAZE_ROWS) + "\n").encode()
+    level.write_bytes(good)
+    config = tmp_path / "config.json"
+    args = ["--in", str(in_dir), "--out", str(tmp_path / "out")]
+    if case == "usage":
+        return args + ["--no-such-flag"]
+    if case == "missing input directory":
+        return ["--in", str(tmp_path / "nope"), "--out", str(tmp_path / "out")]
+    if case == "bad header":
+        level.write_bytes(b"wrong,header\n1,2\n")
+    elif case == "bad placement":
+        level.write_bytes(good + b'40,,"(480, 810)",0,150,,\n')
+    elif case == "non-UTF-8":
+        level.write_bytes(good + b'40,"(3, \xff4)",,,,,\n')
+    elif case == "oversized field":
+        level.write_bytes(good + b'40,"' + b"5" * 131_073 + b'",,,,,\n')
+    elif case == "bad config JSON":
+        config.write_text('{"gamma": 1,', encoding="utf-8")
+        args += ["--config", str(config)]
+    elif case == "boolean config value":
+        config.write_text('{"tau_min_ms": true}', encoding="utf-8")
+        args += ["--config", str(config)]
+    return args
+
+
+@pytest.mark.parametrize(
+    "case,code",
+    [("usage", 2), ("missing input directory", EXIT_IO), ("bad header", EXIT_DATA),
+     ("bad placement", EXIT_DATA), ("non-UTF-8", EXIT_DATA), ("oversized field", EXIT_DATA),
+     ("bad config JSON", EXIT_CONFIG), ("boolean config value", EXIT_CONFIG)],
+)
+def test_failure_class_exit_codes(tmp_path, case, code):
+    """Each failure class exits with its documented code and no traceback."""
+    proc = _run_cli("analyze", *_exit_case(tmp_path, case))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()

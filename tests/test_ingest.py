@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gazescore import ingest
 from gazescore.ingest import (
     CSV_HEADER,
     CoordinateParseError,
@@ -271,6 +272,82 @@ class TestLoadLevelCsv:
         path.write_bytes(body.encode("utf-8"))
         session = load_level_csv(path, 1, "s1")
         assert len(session.samples) == 2
+
+
+class TestUnreadableInput:
+    """Bytes the CSV reader cannot take are data errors with file and line."""
+
+    def _path(self, tmp_path, body: bytes):
+        path = tmp_path / "s1_level1.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + body)
+        return path
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = self._path(tmp_path, b'0,"(3, 4)",,,,,\n16,"(3, \xff4)",,,,,\n')
+        with pytest.raises(SessionLoadError, match="not UTF-8") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 3
+        assert str(path) in str(exc.value)
+
+    def test_non_utf8_byte_far_into_the_file(self, tmp_path):
+        """The reader decodes ahead of the rows; the line is the byte's own."""
+        rows = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(3000))
+        path = self._path(tmp_path, rows + b"3000,\xe9,,,,,\n")
+        with pytest.raises(SessionLoadError, match="not UTF-8") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 3002
+
+    def test_non_utf8_header(self, tmp_path):
+        path = tmp_path / "s1_level1.csv"
+        path.write_bytes(b"timestamp_ms\xff,gaze\n")
+        with pytest.raises(SessionLoadError, match="not UTF-8") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 1
+
+    def test_oversized_field(self, tmp_path):
+        path = self._path(tmp_path, b'0,"(3, 4)",,,,,\n1,"' + b"5" * 131_073 + b'",,,,,\n')
+        with pytest.raises(SessionLoadError, match="field limit") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 3
+        assert str(path) in str(exc.value)
+
+    def test_earlier_row_error_wins_over_read_error(self, tmp_path):
+        path = self._path(
+            tmp_path, b'0,,"(bad",200,150,,\n1,"' + b"5" * 131_073 + b'",,,,,\n'
+        )
+        with pytest.raises(SessionLoadError) as exc:
+            load_level_csv(path, 1, "s1")
+        assert (exc.value.line, exc.value.fieldname) == (2, "object_pos")
+
+
+class TestBatchEdges:
+    """Rows that meet at the edge of two parsing batches."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_first_faulty_row_reported(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk)
+        path = tmp_path / "s1_level1.csv"
+        _write(path, ['0,"(3, 4)",,,,,', '1,,"(bad",200,150,,', "1,2", "2,,,,,junk,true"])
+        with pytest.raises(SessionLoadError) as exc:
+            load_level_csv(path, 1, "s1")
+        assert (exc.value.line, exc.value.fieldname) == (3, "object_pos")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_length_error_before_later_placement_error(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk)
+        path = tmp_path / "s1_level1.csv"
+        _write(path, ['0,"(3, 4)",,,,,', ",,", "1,2", '1,,"(bad",200,150,,'])
+        with pytest.raises(SessionLoadError, match="expected 7 fields, got 2") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 2048])
+    def test_every_row_kept_once(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk)
+        path = tmp_path / "s1_level1.csv"
+        _write(path, [f'{i},"({i + 1}, 7)",,,,,' for i in range(11)])
+        session = load_level_csv(path, 1, "s1")
+        assert session.samples.x_px.tolist() == [float(i + 1) for i in range(11)]
 
 
 class TestSampleColumns:

@@ -1,18 +1,22 @@
-"""The single-pass loader against the record-based reference loader.
+"""The batch loader against the record-based reference loader.
 
 Arbitrary row text under the canonical header must give either equal
 sessions (sample columns, drop count, events, placements) from both, or
 the same SessionLoadError (message, line and field) from both. Any other
-exception fails the test.
+exception fails the test. Each case runs with the loader's batch size
+patched down to 1, 2 and 7 rows as well, so rows fall on batch edges.
 """
 from __future__ import annotations
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gazescore import ingest
 from gazescore.ingest import CSV_HEADER, SessionLoadError, load_level_csv
 from gazescore.spatial import ScreenGeometry
 
@@ -33,8 +37,17 @@ TIMESTAMPS = st.one_of(
 GAZE = st.one_of(
     st.builds(lambda x, y: f"({x}, {y})", NUMBERS, NUMBERS),
     st.sampled_from(["", " ", "(0, 0)", "( -0 ,0.0 )", "(oops", "(1, 2, 3)", "(nan, 1)",
-                     "(1e3, 5)", "(inf, 5)", "\x1c(5, 5)\x1c", "(5,5", "5, 5"]),
+                     "(1e3, 5)", "(inf, 5)", "\x1c(5, 5)\x1c", "(5,5", "5, 5",
+                     # Halves that would pair up if whitespace ran across cells.
+                     "(5, 5", ")", " 5)", "(5,", ", 5)", "\x1c"]),
 )
+# Gaze cells with line breaks inside quotes; the csv writer would leave a
+# lone "\r" unquoted, so these rows are written as raw lines.
+BREAK_CELLS = st.sampled_from(
+    ["(5,\n5)", "(5, 5)\n", "\r(5, 5)", "(5, 5)\r\n", "\n", "\r", "\r\n", "(5\r, 5)",
+     " ( 5 ,\r\n 5 ) ", "(5, 5\n)", "(1\n0, 5)"]
+)
+BREAK_ROW = st.builds(lambda t, g: f'{t},"{g}",,,,,', TIMESTAMPS, BREAK_CELLS)
 OBJECTS = st.sampled_from(["", "", "(480, 810)", "(50, 25)", " (1, 2) ", "(bad"])
 SIZES = st.sampled_from(["200", "150", "20", " 20 ", "", "0", "-5", "nan", "inf", "abc"])
 KINDS = st.sampled_from(["", "", "other", "answer", "mouse_click", " answer ", "Answer", "junk"])
@@ -72,8 +85,9 @@ def _outcome(load, path, geometry):
         return ("error", str(exc), exc.line, exc.fieldname)
 
 
-def _check_same(path, geometry):
-    got = _outcome(load_level_csv, path, geometry)
+def _check_same(path, geometry, chunk=ingest._CHUNK_ROWS):
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        got = _outcome(load_level_csv, path, geometry)
     want = _outcome(oracles.load_level_csv, path, geometry)
     assert got == want
     if not isinstance(got, tuple):
@@ -82,35 +96,40 @@ def _check_same(path, geometry):
         assert samples.x_px.dtype == samples.y_px.dtype == np.float64
 
 
-def _check_text(tmp_path_factory, rows, geometry, crlf):
+def _check_text(tmp_path_factory, rows, geometry, crlf, chunk):
     text = ",".join(CSV_HEADER) + "\n" + _row_lines(rows)
     if crlf:
         text = text.replace("\n", "\r\n")
     path = tmp_path_factory.mktemp("fuzz") / "s_level2.csv"
     path.write_bytes(text.encode("utf-8"))
-    _check_same(path, geometry)
+    _check_same(path, geometry, chunk)
 
 
-@settings(max_examples=300, deadline=None)
+CHUNKS = pytest.mark.parametrize("chunk", [1, 2, 7, ingest._CHUNK_ROWS])
+
+
+@CHUNKS
+@settings(max_examples=150, deadline=None)
 @given(
-    rows=st.lists(st.one_of(GAZE_ROW, VALID_ROW), max_size=60),
+    rows=st.lists(st.one_of(GAZE_ROW, GAZE_ROW, VALID_ROW, BREAK_ROW), max_size=60),
     geometry=st.sampled_from(GEOMETRIES),
     crlf=st.booleans(),
 )
-def test_gaze_rows_match_reference(tmp_path_factory, rows, geometry, crlf):
-    _check_text(tmp_path_factory, rows, geometry, crlf)
+def test_gaze_rows_match_reference(tmp_path_factory, chunk, rows, geometry, crlf):
+    _check_text(tmp_path_factory, rows, geometry, crlf, chunk)
 
 
-@settings(max_examples=300, deadline=None)
+@CHUNKS
+@settings(max_examples=150, deadline=None)
 @given(
     rows=st.lists(
-        st.one_of(GAZE_ROW, GAZE_ROW, FULL_ROW, ODD_ROW, RAW_LINE), max_size=30
+        st.one_of(GAZE_ROW, GAZE_ROW, FULL_ROW, ODD_ROW, RAW_LINE, BREAK_ROW), max_size=30
     ),
     geometry=st.sampled_from(GEOMETRIES),
     crlf=st.booleans(),
 )
-def test_any_rows_match_reference(tmp_path_factory, rows, geometry, crlf):
-    _check_text(tmp_path_factory, rows, geometry, crlf)
+def test_any_rows_match_reference(tmp_path_factory, chunk, rows, geometry, crlf):
+    _check_text(tmp_path_factory, rows, geometry, crlf, chunk)
 
 
 def test_many_ties_keep_file_order(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from gazescore.ingest import LevelSession
 from gazescore.pipeline import analyze_session, analyze_student
 from gazescore.report import build_report, emit_plot_data, write_report
+from gazescore.scoring import ScoringConfig
 from gazescore.synth import generate_table_fixture
 
 
@@ -86,6 +87,37 @@ class TestBuildReport:
         a = json.dumps(build_report("S10", analyses, validation))
         b = json.dumps(build_report("S10", analyses, validation))
         assert a == b
+
+
+class TestAoiTotalSwitch:
+    """``aoi_total_changes_only`` narrows the AoI efficiency denominator to
+    label changes (off-diagonal cells) instead of all consecutive pairs."""
+
+    def test_switch_changes_total_and_efficiency(self):
+        session = generate_table_fixture().for_student("S10")[1]
+        config = ScoringConfig(aoi_total_changes_only=True)
+        default = analyze_session(session)
+        switched = analyze_session(session, config)
+        counts = default.aoi_matrix.counts
+        changes = int(counts.sum() - np.trace(counts))
+        switches = default.aoi.left_right_transitions
+        pairs = len(session.samples) - 1
+        assert 0 < switches <= changes < pairs
+
+        assert default.aoi.aoi_total == pairs
+        assert switched.aoi.aoi_total == changes
+        assert default.aoi.efficiency == switches / pairs
+        assert switched.aoi.efficiency == switches / changes
+        # Level 2's bonus weighs the total, so the narrower one lowers it.
+        assert switched.features.aoi_transitions == changes
+        assert switched.breakdown.level_bonus < default.breakdown.level_bonus
+
+        def reported(analysis, config):
+            level = build_report("S10", [analysis], None, config)["levels"][0]
+            return level["transitions"]["aoi_efficiency"]
+
+        assert reported(default, ScoringConfig()) == round(switches / pairs, 4)
+        assert reported(switched, config) == round(switches / changes, 4)
 
 
 class TestWriteReport:

@@ -147,6 +147,33 @@ class TestConfig:
         assert config.tau_min_ms == 300 and config.gap_tolerance_ms == 120
 
     @pytest.mark.parametrize(
+        "name",
+        ["alpha1", "alpha2", "gamma", "delta", "tau_min_ms", "tau_sustained_ms",
+         "gap_tolerance_ms", "excess_period_threshold", "max_impact",
+         "calibration_excellent", "calibration_good", "calibration_fair",
+         "mastery_min", "developing_min"],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected_for_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ScoringConfig.from_dict({name: value})
+
+    def test_boolean_per_level_max_impact_rejected(self):
+        with pytest.raises(ConfigError, match="max_impact"):
+            ScoringConfig.from_dict({"max_impact": {"1": 5, "2": True, "3": 20}})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_switch_accepts_only_booleans(self, value):
+        with pytest.raises(ConfigError, match="aoi_total_changes_only"):
+            ScoringConfig.from_dict({"aoi_total_changes_only": value})
+
+    def test_from_file_rejects_booleans(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"tau_min_ms": true, "alpha1": false}')
+        with pytest.raises(ConfigError, match="boolean"):
+            ScoringConfig.from_file(path)
+
+    @pytest.mark.parametrize(
         "text",
         ['{"max_impact": Infinity}', '{"excess_period_threshold": NaN}',
          '{"tau_min_ms": 400.5}', '{"gap_tolerance_ms": 1e400}'],

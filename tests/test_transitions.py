@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gazescore.ingest import GazeSample
-from gazescore.spatial import AoiLabel, Quadrant
+from gazescore.spatial import AoiLabel, Quadrant, classify_session
+from gazescore.synth import generate_table_fixture
 from gazescore.transitions import (
     aggregate_transitions,
     aoi_metrics,
@@ -197,3 +198,18 @@ class TestShares:
 
     def test_time_share_guards(self):
         assert aoi_time_share_pct(_samples([5]), [L]) == 0.0
+
+
+def test_sample_columns_build_no_gaze_sample(monkeypatch):
+    """A session's ``SampleColumns`` is read through its ``t_ms`` column."""
+    session = generate_table_fixture().for_student("S10")[2]
+    quadrants, aois = classify_session(session)
+    t = session.samples.t_ms
+    want = dwell_summary(t, quadrants), aoi_time_share_pct(t, aois)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a GazeSample was built")
+
+    monkeypatch.setattr(GazeSample, "__init__", refuse)
+    got = dwell_summary(session.samples, quadrants), aoi_time_share_pct(session.samples, aois)
+    assert got == want
