@@ -3,8 +3,8 @@
 Arbitrary row text under the canonical header must give either equal
 sessions (sample columns, drop count, events, placements) from both, or
 the same SessionLoadError (message, line and field) from both. Any other
-exception fails the test. Each case runs with the loader's batch size
-patched down to 1, 2 and 7 rows as well, so rows fall on batch edges.
+exception fails the test. Each case draws the loader's batch size too
+(1, 2, 7 rows or the default), so rows fall on batch edges.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import io
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gazescore import ingest
@@ -105,30 +104,30 @@ def _check_text(tmp_path_factory, rows, geometry, crlf, chunk):
     _check_same(path, geometry, chunk)
 
 
-CHUNKS = pytest.mark.parametrize("chunk", [1, 2, 7, ingest._CHUNK_ROWS])
+CHUNKS = st.sampled_from([1, 2, 7, ingest._CHUNK_ROWS])
 
 
-@CHUNKS
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     rows=st.lists(st.one_of(GAZE_ROW, GAZE_ROW, VALID_ROW, BREAK_ROW), max_size=60),
     geometry=st.sampled_from(GEOMETRIES),
     crlf=st.booleans(),
+    chunk=CHUNKS,
 )
-def test_gaze_rows_match_reference(tmp_path_factory, chunk, rows, geometry, crlf):
+def test_gaze_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk):
     _check_text(tmp_path_factory, rows, geometry, crlf, chunk)
 
 
-@CHUNKS
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     rows=st.lists(
         st.one_of(GAZE_ROW, GAZE_ROW, FULL_ROW, ODD_ROW, RAW_LINE, BREAK_ROW), max_size=30
     ),
     geometry=st.sampled_from(GEOMETRIES),
     crlf=st.booleans(),
+    chunk=CHUNKS,
 )
-def test_any_rows_match_reference(tmp_path_factory, chunk, rows, geometry, crlf):
+def test_any_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk):
     _check_text(tmp_path_factory, rows, geometry, crlf, chunk)
 
 
@@ -142,3 +141,17 @@ def test_many_ties_keep_file_order(tmp_path):
     # Timestamp 0 is on rows 9, 19, ..., 299, whose x is the row number + 1.
     x = load_level_csv(path, 2, "s").samples.x_px
     assert x[:30].tolist() == [float(10 * k) for k in range(1, 31)]
+
+
+def test_pair_halves_in_adjacent_cells_stay_apart(tmp_path):
+    """Whitespace must not run across a cell boundary, or "(5, 5" and ")"
+    on consecutive rows would read as one pair."""
+    gaze = ["(5, 5", ")", " ", "(6,", " 6)", "(7, 7)"]
+    rows = [[str(i), cell, "", "", "", "", ""] for i, cell in enumerate(gaze)]
+    path = tmp_path / "s_level2.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + _row_lines(rows), encoding="utf-8")
+    for chunk in (1, 2, 7, ingest._CHUNK_ROWS):
+        _check_same(path, GEOMETRIES[0], chunk)
+    session = load_level_csv(path, 2, "s")
+    assert session.dropped_samples == 4
+    assert session.samples.x_px.tolist() == [7.0]
