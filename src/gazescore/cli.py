@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import re
 import sys
 from dataclasses import fields
@@ -75,6 +76,17 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
     config = ScoringConfig.from_dict(data)
     log.info("effective scoring config: %s", config)
     return config
+
+
+def _screen_size(text: str) -> float:
+    """argparse type of --width/--height: a positive finite number of pixels."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _geometry(args: argparse.Namespace) -> ScreenGeometry:
@@ -215,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON scoring config file")
-    common.add_argument("--width", type=float, default=1920.0)
-    common.add_argument("--height", type=float, default=1080.0)
+    common.add_argument("--width", type=_screen_size, default=1920.0)
+    common.add_argument("--height", type=_screen_size, default=1080.0)
     common.add_argument("--y-up", action="store_true", dest="y_up",
                         help="treat input coordinates as y-up instead of screen coordinates")
 

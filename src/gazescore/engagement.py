@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, label_codes
+from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, label_codes, read_only
 
 MIN_DURATION_MS = 400
 SUSTAINED_MS = 2500
@@ -50,6 +50,77 @@ def _labeled_columns(
     return t, label_codes([label for _, label in labeled_samples], AOI_ORDER)
 
 
+@dataclass(frozen=True)
+class AoiRuns:
+    """Run-length encoding of a session's AoI codes.
+
+    Run r covers consecutive samples sharing code ``codes[r]``, from
+    time ``t_first_ms[r]`` to ``t_last_ms[r]``. All three arrays are
+    read-only; neighbouring runs have different codes.
+    """
+
+    t_first_ms: np.ndarray
+    t_last_ms: np.ndarray
+    codes: np.ndarray
+
+
+def aoi_runs(t_ms: np.ndarray, codes: np.ndarray) -> AoiRuns:
+    """Maximal same-code runs of time-sorted samples (int64 times, AoI codes)."""
+    if len(t_ms) == 0:
+        first = last = np.zeros(0, dtype=np.intp)
+    else:
+        first = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
+        last = np.concatenate((first[1:] - 1, [len(t_ms) - 1]))
+    return AoiRuns(
+        t_first_ms=read_only(t_ms[first]),
+        t_last_ms=read_only(t_ms[last]),
+        codes=read_only(codes[first]),
+    )
+
+
+def select_periods(
+    runs: AoiRuns,
+    min_duration_ms: int = MIN_DURATION_MS,
+    sustained_ms: int = SUSTAINED_MS,
+    gap_tolerance_ms: int = 0,
+) -> list[EngagementPeriod]:
+    """Engagement periods from AoI runs; see ``detect_engagement_periods``."""
+    if min_duration_ms > sustained_ms:
+        raise ValueError(
+            f"minimum duration {min_duration_ms} exceeds sustained threshold {sustained_ms}"
+        )
+    t_first, t_last, run_codes = runs.t_first_ms, runs.t_last_ms, runs.codes
+    inside = np.flatnonzero(run_codes != OUTSIDE_CODE)
+    if len(inside) == 0:
+        return []
+    # joined[r]: in-AoI run r extends the period of run r - 2 across the
+    # outside run between them.
+    joined = np.zeros(len(run_codes), dtype=bool)
+    if gap_tolerance_ms > 0:
+        joined[2:] = (
+            (run_codes[1:-1] == OUTSIDE_CODE)
+            & (run_codes[2:] == run_codes[:-2])
+            & (t_first[2:] - t_last[:-2] <= gap_tolerance_ms)
+        )
+    opens = ~joined[inside]
+    start_run = inside[opens]
+    end_run = inside[np.concatenate((opens[1:], [True]))]
+    t_start = t_first[start_run]
+    t_end = t_last[end_run]
+    keep = t_end - t_start >= min_duration_ms
+    return [
+        EngagementPeriod(
+            t_start_ms=start,
+            t_end_ms=end,
+            aoi=AOI_ORDER[code],
+            sustained=end - start >= sustained_ms,
+        )
+        for start, end, code in zip(
+            t_start[keep].tolist(), t_end[keep].tolist(), run_codes[start_run[keep]].tolist()
+        )
+    ]
+
+
 def detect_engagement_periods(
     labeled_samples: Sequence[tuple[int, AoiLabel]] | np.ndarray,
     min_duration_ms: int = MIN_DURATION_MS,
@@ -65,48 +136,14 @@ def detect_engagement_periods(
     (for data with tracker dropouts) when the same side resumes no later
     than the tolerance after the last in-AoI sample; a switch to the
     other AoI always terminates. Default tolerance is 0, the strict
-    reading.
+    reading. This is ``select_periods`` applied to ``aoi_runs``.
     """
-    if min_duration_ms > sustained_ms:
-        raise ValueError(
-            f"minimum duration {min_duration_ms} exceeds sustained threshold {sustained_ms}"
-        )
-    t, codes = _labeled_columns(labeled_samples)
-    if len(t) == 0:
-        return []
-    # Run-length encoding: run r covers samples first[r]..last[r].
-    first = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
-    last = np.concatenate((first[1:] - 1, [len(t) - 1]))
-    run_codes = codes[first]
-    inside = np.flatnonzero(run_codes != OUTSIDE_CODE)
-    if len(inside) == 0:
-        return []
-    # joined[r]: in-AoI run r extends the period of run r - 2 across the
-    # outside run between them.
-    joined = np.zeros(len(first), dtype=bool)
-    if gap_tolerance_ms > 0:
-        joined[2:] = (
-            (run_codes[1:-1] == OUTSIDE_CODE)
-            & (run_codes[2:] == run_codes[:-2])
-            & (t[first[2:]] - t[last[:-2]] <= gap_tolerance_ms)
-        )
-    opens = ~joined[inside]
-    start_run = inside[opens]
-    end_run = inside[np.concatenate((opens[1:], [True]))]
-    t_start = t[first[start_run]]
-    t_end = t[last[end_run]]
-    keep = t_end - t_start >= min_duration_ms
-    return [
-        EngagementPeriod(
-            t_start_ms=start,
-            t_end_ms=end,
-            aoi=AOI_ORDER[code],
-            sustained=end - start >= sustained_ms,
-        )
-        for start, end, code in zip(
-            t_start[keep].tolist(), t_end[keep].tolist(), run_codes[start_run[keep]].tolist()
-        )
-    ]
+    return select_periods(
+        aoi_runs(*_labeled_columns(labeled_samples)),
+        min_duration_ms=min_duration_ms,
+        sustained_ms=sustained_ms,
+        gap_tolerance_ms=gap_tolerance_ms,
+    )
 
 
 def classify_sustained(

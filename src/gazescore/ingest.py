@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .spatial import ScreenGeometry
+from .spatial import ScreenGeometry, read_only
 
 log = logging.getLogger(__name__)
 
@@ -118,8 +118,7 @@ class SampleColumns:
         if any(c.shape != (len(columns[0]),) for c in columns):
             raise ValueError("sample columns must be 1-d and of equal length")
         for name, column in zip(self.__slots__, columns):
-            column.flags.writeable = False
-            setattr(self, name, column)
+            setattr(self, name, read_only(column))
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -173,7 +172,9 @@ class LevelSession:
     """Cleaned samples, events and placements for one student at one level.
 
     ``samples`` may be given as a ``GazeSample`` sequence; it is stored
-    as ``SampleColumns``.
+    as ``SampleColumns``. ``pipeline.analyze_session`` keeps the
+    session's config-independent analysis on the instance, outside the
+    fields; ``dataclasses.replace`` gives a new instance without it.
     """
 
     student_id: str

@@ -6,6 +6,7 @@ to an object-centered area of interest (AoI) when a placement is active.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, TYPE_CHECKING
@@ -62,9 +63,11 @@ class ScreenGeometry:
     y_up: bool = False
 
     def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
+        # NaN fails every comparison, so it is rejected too.
+        if not (0 < self.width_px < math.inf and 0 < self.height_px < math.inf):
             raise ValueError(
-                f"screen dimensions must be positive, got {self.width_px}x{self.height_px}"
+                "screen dimensions must be positive and finite, "
+                f"got {self.width_px}x{self.height_px}"
             )
 
 
@@ -96,6 +99,17 @@ def aoi_bounds(placement: ObjectPlacement) -> AoiRect:
         y_min=placement.obj_y_px - half_h,
         y_max=placement.obj_y_px + half_h,
     )
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` that cannot be made writeable again.
+
+    Clearing the flag on the array itself is not enough: an array that
+    owns its data lets ``flags.writeable = True`` undo it. A view of a
+    read-only base refuses that. Nothing else may hold ``array``.
+    """
+    array.flags.writeable = False
+    return array.view()
 
 
 def label_codes(labels: Sequence[Enum] | np.ndarray, order: tuple[Enum, ...]) -> np.ndarray:
@@ -146,6 +160,4 @@ def classify_session(session: LevelSession) -> tuple[np.ndarray, np.ndarray]:
         aois = np.where(inside, sides[active], OUTSIDE_CODE).astype(np.int8)
     else:
         aois = np.full(len(t), OUTSIDE_CODE, dtype=np.int8)
-    quadrants.flags.writeable = False
-    aois.flags.writeable = False
-    return quadrants, aois
+    return read_only(quadrants), read_only(aois)

@@ -12,25 +12,32 @@ array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ingest import GazeSample, SampleColumns
 from .spatial import (
     AOI_ORDER, LEFT_CODE, OUTSIDE_CODE, QUADRANT_ORDER, RIGHT_CODE, AoiLabel, Quadrant,
-    label_codes, sample_times,
+    label_codes, read_only, sample_times,
 )
 
 Labels = Sequence[Quadrant] | Sequence[AoiLabel] | np.ndarray
 Samples = Sequence[GazeSample] | SampleColumns | np.ndarray
 
 
+def _read_only_counts(matrix) -> None:
+    object.__setattr__(matrix, "counts", read_only(np.array(matrix.counts, dtype=np.int64)))
+
+
 @dataclass(frozen=True)
 class QuadrantTransitionMatrix:
-    """4x4 counts indexed (from, to) in Q1..Q4 order."""
+    """4x4 counts indexed (from, to) in Q1..Q4 order; stored as a read-only copy."""
 
     counts: np.ndarray
+
+    __post_init__ = _read_only_counts
 
     def count(self, source: Quadrant, target: Quadrant) -> int:
         return int(self.counts[QUADRANT_ORDER.index(source), QUADRANT_ORDER.index(target)])
@@ -38,9 +45,12 @@ class QuadrantTransitionMatrix:
 
 @dataclass(frozen=True)
 class AoITransitionMatrix:
-    """3x3 counts indexed (from, to) in left/right/outside order."""
+    """3x3 counts indexed (from, to) in left/right/outside order; stored as a
+    read-only copy."""
 
     counts: np.ndarray
+
+    __post_init__ = _read_only_counts
 
     def count(self, source: AoiLabel, target: AoiLabel) -> int:
         return int(self.counts[AOI_ORDER.index(source), AOI_ORDER.index(target)])
@@ -67,9 +77,14 @@ class AoiMetrics:
 
 @dataclass(frozen=True)
 class DwellSummary:
-    time_in_quadrant: dict[Quadrant, int]
+    """``time_in_quadrant`` is stored as a read-only mapping."""
+
+    time_in_quadrant: Mapping[Quadrant, int]
     session_duration_ms: int
     stimuli_focus_pct: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "time_in_quadrant", MappingProxyType(dict(self.time_in_quadrant)))
 
 
 def _pair_matrix(labels: Labels, order: tuple) -> np.ndarray:

@@ -295,6 +295,10 @@ def _exit_case(tmp_path, case):
     elif case == "boolean config value":
         config.write_text('{"tau_min_ms": true}', encoding="utf-8")
         args += ["--config", str(config)]
+    elif case == "width 0":
+        args += ["--width", "0"]
+    elif case == "height nan":
+        args += ["--height", "nan"]
     return args
 
 
@@ -302,7 +306,8 @@ def _exit_case(tmp_path, case):
     "case,code",
     [("usage", 2), ("missing input directory", EXIT_IO), ("bad header", EXIT_DATA),
      ("bad placement", EXIT_DATA), ("non-UTF-8", EXIT_DATA), ("oversized field", EXIT_DATA),
-     ("bad config JSON", EXIT_CONFIG), ("boolean config value", EXIT_CONFIG)],
+     ("bad config JSON", EXIT_CONFIG), ("boolean config value", EXIT_CONFIG),
+     ("width 0", 2), ("height nan", 2)],
 )
 def test_failure_class_exit_codes(tmp_path, case, code):
     """Each failure class exits with its documented code and no traceback."""

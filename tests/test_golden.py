@@ -11,7 +11,10 @@ import hashlib
 import pytest
 
 from gazescore.cli import EXIT_OK, main
-from gazescore.ingest import GazeSample
+from gazescore.ingest import GazeSample, load_level_csv, merge_levels
+from gazescore.pipeline import analyze_student
+from gazescore.report import build_report, emit_plot_data, write_report
+from gazescore.scoring import ScoringConfig
 
 FLAGS = {
     "default": [],
@@ -84,17 +87,36 @@ def fixture_dir(tmp_path_factory):
     return path
 
 
+def _digests(out):
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
 @pytest.mark.parametrize("variant", sorted(FLAGS))
 def test_cli_outputs_match_pinned_digests(fixture_dir, tmp_path, variant):
     out = tmp_path / "out"
     code = main(["analyze", "--in", str(fixture_dir), "--out", str(out), *FLAGS[variant]])
     assert code == EXIT_OK
-    got = {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    }
-    assert got == DIGESTS[variant]
+    assert _digests(out) == DIGESTS[variant]
+
+
+def test_default_outputs_after_rescoring_match_pinned_digests(fixture_dir, tmp_path):
+    """Sessions first analysed under another config keep their facts, and
+    the default config then gives the pinned outputs byte for byte."""
+    session_set = merge_levels(
+        [load_level_csv(fixture_dir / f"S10_level{lv}.csv", lv, "S10") for lv in (1, 2, 3)]
+    )
+    other = ScoringConfig(tau_min_ms=200, gap_tolerance_ms=150, alpha1=2.0)
+    first, _ = analyze_student(session_set, "S10", other)
+    analyses, validation = analyze_student(session_set, "S10", ScoringConfig())
+    assert all(a.aoi_labels is b.aoi_labels for a, b in zip(first, analyses))
+    out = tmp_path / "out"
+    write_report(build_report("S10", analyses, validation), out / "report_S10.json")
+    emit_plot_data(analyses, out / "plots" / "S10")
+    assert _digests(out) == DIGESTS["default"]
 
 
 def test_cli_path_builds_no_gaze_sample(fixture_dir, tmp_path, monkeypatch):

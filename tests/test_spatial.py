@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +101,14 @@ class TestQuadrantOf:
     def test_stimulus_flags(self):
         assert Quadrant.Q3.is_stimulus and Quadrant.Q4.is_stimulus
         assert not Quadrant.Q1.is_stimulus and not Quadrant.Q2.is_stimulus
+
+
+@pytest.mark.parametrize(
+    "width,height", [(0, 1080), (-5, 1080), (math.nan, 1080), (math.inf, 1080), (1920, math.nan)]
+)
+def test_screen_size_must_be_positive_and_finite(width, height):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ScreenGeometry(width, height)
 
 
 class TestAoiBounds:
