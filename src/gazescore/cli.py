@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 data schema, 5 configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import re
@@ -275,12 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call in the process.
+
+    Parsing leaves a parser unchanged, so one instance serves every call;
+    building it costs far more than a parse.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    args = _parser().parse_args(argv)
+    # basicConfig only installs a handler (and once per process); the level
+    # is set on every call so each call's own --verbose decides.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -110,11 +110,25 @@ class SampleColumns:
     __slots__ = ("t_ms", "x_px", "y_px")
 
     def __init__(self, t_ms, x_px, y_px) -> None:
-        columns = (
+        self._hold(
             np.array(t_ms, dtype=np.int64),
             np.array(x_px, dtype=np.float64),
             np.array(y_px, dtype=np.float64),
         )
+
+    @classmethod
+    def _adopt(cls, t_ms: np.ndarray, x_px: np.ndarray, y_px: np.ndarray) -> SampleColumns:
+        """Columns that take over fresh arrays nothing else holds, without
+        the copy the constructor makes (a cast still copies)."""
+        columns = cls.__new__(cls)
+        columns._hold(
+            np.asarray(t_ms, dtype=np.int64),
+            np.asarray(x_px, dtype=np.float64),
+            np.asarray(y_px, dtype=np.float64),
+        )
+        return columns
+
+    def _hold(self, *columns: np.ndarray) -> None:
         if any(c.shape != (len(columns[0]),) for c in columns):
             raise ValueError("sample columns must be 1-d and of equal length")
         for name, column in zip(self.__slots__, columns):
@@ -491,7 +505,7 @@ def load_level_csv(
         log.warning("%s: no valid gaze samples (dropped=%d)", path, dropped)
     order = np.argsort(t, kind="stable")
     offset = int(t[order[0]]) if len(t) else 0
-    samples = SampleColumns(t[order] - offset, x[order], y[order])
+    samples = SampleColumns._adopt(t[order] - offset, x[order], y[order])
 
     def shifted(items):
         ordered = sorted(items, key=operator.attrgetter("t_ms"))

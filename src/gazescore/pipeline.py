@@ -93,7 +93,7 @@ def session_facts(session: LevelSession) -> SessionFacts:
     return facts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionAnalysis:
     """Everything derived from one level session.
 
@@ -102,6 +102,10 @@ class SessionAnalysis:
     aggregates, dwell and game tally are shared with every other analysis
     of the same session object (see ``session_facts``), and all of them
     are read-only.
+
+    Analyses compare and hash by identity: field-wise equality over the
+    label arrays has no truth value. Compare fields (or report bytes)
+    to compare results.
     """
 
     session: LevelSession

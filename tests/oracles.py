@@ -4,11 +4,13 @@ and the plot-CSV emitter.
 These are the straightforward Python loops the columnar code in
 ``gazescore`` replaced. They walk one record, one ``GazeSample``, one
 Enum label or one CSV row at a time and serve as oracles in the
-equivalence property tests.
+equivalence property tests. ``report_json`` is the report text as the
+``json`` module's indent-2 encoder writes it.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 from bisect import bisect_right
@@ -446,3 +448,8 @@ def emit_plot_data(analyses, out_dir: str | Path) -> list[Path]:
     )
     written.append(summary_path)
     return written
+
+
+def report_json(report: dict) -> str:
+    """The report text ``write_report`` wrote before its own encoder."""
+    return json.dumps(report, indent=2)

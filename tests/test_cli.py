@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gazescore import cli
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from gazescore.ingest import CSV_HEADER
 
@@ -266,6 +268,51 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--nope"])
         assert exc.value.code == 2
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture
+def restore_log_level():
+    logger = logging.getLogger("gazescore")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+class TestInProcessReuse:
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_earlier_calls_leave_no_trace(self, fixture_dir, tmp_path, capsys):
+        """Flags and usage errors of earlier calls do not reach a later one."""
+        args = ["analyze", "--in", str(fixture_dir), "--student", "S10"]
+        assert main([*args, "--alpha1", "2", "--out", str(tmp_path / "tuned")]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--alpha1", "x", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert main([*args, "--out", str(tmp_path / "in-process")]) == EXIT_OK
+        proc = _run_cli(*args, "--out", str(tmp_path / "fresh"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        fresh = _tree_bytes(tmp_path / "fresh")
+        assert len(fresh) == 8
+        assert _tree_bytes(tmp_path / "in-process") == fresh
+        assert _tree_bytes(tmp_path / "tuned") != fresh
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("order", [(False, True), (True, False)], ids=["quiet-first",
+                                                                           "verbose-first"])
+    def test_each_call_sets_its_own_verbosity(self, fixture_dir, tmp_path, caplog,
+                                              restore_log_level, order):
+        args = ["analyze", "--in", str(fixture_dir), "--student", "S10", "--out", str(tmp_path)]
+        for verbose in order:
+            caplog.clear()
+            assert main(["--verbose"] * verbose + args) == EXIT_OK
+            messages = [r.getMessage() for r in caplog.records]
+            assert any("effective scoring config" in m for m in messages) is verbose
 
 
 def _exit_case(tmp_path, case):

@@ -365,6 +365,17 @@ class TestSampleColumns:
         with pytest.raises(ValueError):
             columns.t_ms[0] = 5
 
+    def test_constructor_copies_and_adopt_does_not(self):
+        t, x, y = np.array([0, 16]), np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        copied = SampleColumns(t, x, y)
+        assert not any(np.shares_memory(a, b) for a, b in zip((t, x, y), (
+            copied.t_ms, copied.x_px, copied.y_px)))
+        adopted = SampleColumns._adopt(t, x, y)
+        assert adopted.t_ms.base is t and adopted.x_px.base is x and adopted.y_px.base is y
+        assert adopted == copied
+        with pytest.raises(ValueError):
+            adopted.t_ms.flags.writeable = True
+
     def test_equality_by_columns(self):
         a = SampleColumns([0, 1], [1.0, 2.0], [3.0, 4.0])
         assert a == SampleColumns(np.array([0, 1]), [1, 2], [3, 4])

@@ -156,6 +156,15 @@ def test_analysis_leaves_equality_and_repr_alone(session):
     assert repr(session) == repr(twin) == before
 
 
+def test_analyses_compare_by_identity(session):
+    """Field-wise == over label arrays raised ValueError; identity cannot."""
+    analysis = analyze_session(session)
+    twin = analyze_session(dataclasses.replace(session))
+    assert analysis == analysis and analysis != twin
+    assert analysis != analyze_session(session)
+    assert len({analysis, twin, analysis}) == 2
+
+
 def test_shared_results_are_read_only(session):
     analysis = analyze_session(session)
     with pytest.raises(ValueError):
