@@ -14,6 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .ingest import (
+    VALID_LEVELS,
     DuplicateSessionError,
     SessionLoadError,
     SessionSet,
@@ -22,9 +23,11 @@ from .ingest import (
 )
 from .pipeline import analyze_student
 from .report import build_report, emit_plot_data, write_report
-from .scoring import ConfigError, ScoringConfig, read_config_json
+from .scoring import ETA_SOURCES, ConfigError, ScoringConfig, read_config_json
 from .spatial import ScreenGeometry
-from .synth import ProfileError, SynthProfile, generate_session, generate_table_fixture, write_session_set
+from .synth import (
+    ProfileError, SynthProfile, generate_session, generate_table_fixture, write_session_set,
+)
 from .validation import mae
 
 log = logging.getLogger("gazescore")
@@ -37,43 +40,24 @@ EXIT_CONFIG = 5
 
 _SESSION_FILE_RE = re.compile(r"^(?P<student>.+)_level(?P<level>[123])\.csv$")
 
-_FIXTURE_NAMES = {"case-study": "case-study", "paper-tables": "case-study"}
-
-_CONFIG_FLAGS = (
-    ("alpha1", float),
-    ("alpha2", float),
-    ("gamma", float),
-    ("delta", float),
-    ("tau_min_ms", int),
-    ("tau_sustained_ms", int),
-    ("gap_tolerance_ms", int),
-    ("excess_period_threshold", int),
-    ("max_impact", float),
-    ("calibration_excellent", float),
-    ("calibration_good", float),
-    ("calibration_fair", float),
-    ("mastery_min", float),
-    ("developing_min", float),
-)
+_FIXTURE = "case-study"
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``--field-name`` flag per ``ScoringConfig`` field, typed by the field."""
     group = parser.add_argument_group("scoring overrides (flag > config file > default)")
-    for name, kind in _CONFIG_FLAGS:
-        group.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None, dest=name)
-    group.add_argument("--eta-source", choices=("temporal", "aoi_dwell"), default=None,
-                       dest="eta_source")
-    group.add_argument("--aoi-total-changes-only", action="store_true", default=None,
-                       dest="aoi_total_changes_only")
+    for f in fields(ScoringConfig):
+        kind = {"bool": {"action": "store_true"}, "str": {"choices": ETA_SOURCES},
+                "int": {"type": int}}.get(f.type, {"type": float})
+        group.add_argument(f"--{f.name.replace('_', '-')}", default=None, dest=f.name, **kind)
 
 
 def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
     data = read_config_json(args.config) if args.config else {}
-    valid = {f.name for f in fields(ScoringConfig)}
-    for name in valid:
-        value = getattr(args, name, None)
+    for f in fields(ScoringConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            data[name] = value
+            data[f.name] = value
     config = ScoringConfig.from_dict(data)
     log.info("effective scoring config: %s", config)
     return config
@@ -88,6 +72,14 @@ def _screen_size(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
+
+
+def _period_lengths(text: str) -> tuple[int, ...]:
+    """argparse type of --periods: comma-separated whole milliseconds."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated whole ms: {text!r}") from None
 
 
 def _geometry(args: argparse.Namespace) -> ScreenGeometry:
@@ -187,11 +179,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if args.fixture is not None:
-        name = _FIXTURE_NAMES.get(args.fixture)
-        if name is None:
-            raise ProfileError(
-                f"unknown fixture {args.fixture!r}, expected one of {sorted(_FIXTURE_NAMES)}"
-            )
+        if args.fixture != _FIXTURE:
+            raise ProfileError(f"unknown fixture {args.fixture!r}, expected {_FIXTURE!r}")
         session_set = generate_table_fixture(student_id=args.student or "S10")
         written = write_session_set(session_set, out_dir)
     else:
@@ -202,9 +191,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             sample_interval_ms=args.sample_interval_ms,
             target_sf_pct=args.sf,
             target_aoi_dwell_share=args.aoi_share,
-            engagement_period_lengths_ms=tuple(
-                int(v) for v in args.periods.split(",") if v.strip()
-            ),
+            engagement_period_lengths_ms=args.periods,
             event_accuracy=(args.click_accuracy, args.answer_accuracy),
             n_clicks=args.clicks,
             n_answers=args.answers,
@@ -233,38 +220,36 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--y-up", action="store_true", dest="y_up",
                         help="treat input coordinates as y-up instead of screen coordinates")
 
-    analyze = sub.add_parser("analyze", parents=[common],
+    # Input selection and scoring flags shared by analyze and validate.
+    scoped = argparse.ArgumentParser(add_help=False)
+    scoped.add_argument("--in", dest="in_dir", required=True, help="input directory")
+    scoped.add_argument("--student", default=None, help="only this student id")
+    scoped.add_argument("--level", type=int, choices=VALID_LEVELS, default=None)
+    _add_config_flags(scoped)
+
+    analyze = sub.add_parser("analyze", parents=[common, scoped],
                              help="analyze session CSVs into reports and plot data")
-    analyze.add_argument("--in", dest="in_dir", required=True, help="input directory")
     analyze.add_argument("--out", default="out", help="output directory")
-    analyze.add_argument("--student", default=None, help="only this student id")
-    analyze.add_argument("--level", type=int, choices=(1, 2, 3), default=None)
-    _add_config_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
-    validate = sub.add_parser("validate", parents=[common],
+    validate = sub.add_parser("validate", parents=[common, scoped],
                               help="validate model scores against game accuracy")
-    validate.add_argument("--in", dest="in_dir", required=True)
-    validate.add_argument("--out", default=None,
-                          help="also write the report document here")
-    validate.add_argument("--student", default=None)
-    validate.add_argument("--level", type=int, choices=(1, 2, 3), default=None)
-    _add_config_flags(validate)
+    validate.add_argument("--out", default=None, help="also write the report document here")
     validate.set_defaults(func=cmd_validate)
 
     synth = sub.add_parser("synth", parents=[common],
                            help="write synthetic session CSVs")
     synth.add_argument("--out", default="synth-out", help="output directory")
     synth.add_argument("--fixture", default=None,
-                       help="named fixture to generate (case-study)")
+                       help=f"named fixture to generate ({_FIXTURE})")
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--level", type=int, choices=(1, 2, 3), default=None)
+    synth.add_argument("--level", type=int, choices=VALID_LEVELS, default=None)
     synth.add_argument("--student", default=None)
     synth.add_argument("--duration-ms", type=int, default=60000, dest="duration_ms")
     synth.add_argument("--sample-interval-ms", type=int, default=16, dest="sample_interval_ms")
     synth.add_argument("--sf", type=float, default=60.0, help="target stimulus focus percent")
     synth.add_argument("--aoi-share", type=float, default=0.25, dest="aoi_share")
-    synth.add_argument("--periods", default="3000,2600,800",
+    synth.add_argument("--periods", type=_period_lengths, default="3000,2600,800",
                        help="comma-separated engagement lengths in ms")
     synth.add_argument("--clicks", type=int, default=12)
     synth.add_argument("--answers", type=int, default=20)

@@ -7,7 +7,7 @@ flagged as sustained attention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,23 +40,14 @@ class TemporalMetrics:
     session_duration_ms: int
 
 
-def _labeled_columns(
-    labeled_samples: Sequence[tuple[int, AoiLabel]] | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(labeled_samples, np.ndarray):
-        rows = labeled_samples.reshape(-1, 2)
-        return rows[:, 0], rows[:, 1]
-    t = np.array([t_ms for t_ms, _ in labeled_samples], dtype=np.int64)
-    return t, label_codes([label for _, label in labeled_samples], AOI_ORDER)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AoiRuns:
     """Run-length encoding of a session's AoI codes.
 
     Run r covers consecutive samples sharing code ``codes[r]``, from
     time ``t_first_ms[r]`` to ``t_last_ms[r]``. All three arrays are
-    read-only; neighbouring runs have different codes.
+    read-only; neighbouring runs have different codes. Runs compare by
+    identity (array fields have no truth value).
     """
 
     t_first_ms: np.ndarray
@@ -122,15 +113,14 @@ def select_periods(
 
 
 def detect_engagement_periods(
-    labeled_samples: Sequence[tuple[int, AoiLabel]] | np.ndarray,
+    labeled_samples: Sequence[tuple[int, AoiLabel]],
     min_duration_ms: int = MIN_DURATION_MS,
     sustained_ms: int = SUSTAINED_MS,
     gap_tolerance_ms: int = 0,
 ) -> list[EngagementPeriod]:
     """Maximal same-AoI runs with span >= min_duration_ms, time ordered.
 
-    ``labeled_samples`` holds time-sorted ``(t_ms, AoiLabel)`` pairs, or
-    is an (n, 2) integer array of ``(t_ms, AOI_ORDER code)`` rows. Any
+    ``labeled_samples`` holds time-sorted ``(t_ms, AoiLabel)`` pairs. Any
     sample with a different label ends the run. With a positive
     ``gap_tolerance_ms``, an outside-labeled interruption is bridged
     (for data with tracker dropouts) when the same side resumes no later
@@ -138,19 +128,14 @@ def detect_engagement_periods(
     other AoI always terminates. Default tolerance is 0, the strict
     reading. This is ``select_periods`` applied to ``aoi_runs``.
     """
+    t = np.array([t_ms for t_ms, _ in labeled_samples], dtype=np.int64)
+    codes = label_codes([label for _, label in labeled_samples], AOI_ORDER)
     return select_periods(
-        aoi_runs(*_labeled_columns(labeled_samples)),
+        aoi_runs(t, codes),
         min_duration_ms=min_duration_ms,
         sustained_ms=sustained_ms,
         gap_tolerance_ms=gap_tolerance_ms,
     )
-
-
-def classify_sustained(
-    periods: Sequence[EngagementPeriod], sustained_ms: int = SUSTAINED_MS
-) -> list[EngagementPeriod]:
-    """Re-flag periods against a sustained threshold (comparison is >=)."""
-    return [replace(p, sustained=p.duration_ms >= sustained_ms) for p in periods]
 
 
 def temporal_metrics(

@@ -39,11 +39,12 @@ from .transitions import (
 from .validation import GamePerformance, ValidationReport, game_accuracy, validate_scores
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionFacts:
     """The part of a session's analysis that no ``ScoringConfig`` field
     changes: labels, matrices, aggregates, dwell, AoI shares, AoI runs and
-    the game tally. Every array in it is read-only."""
+    the game tally. Every array in it is read-only, and facts compare by
+    identity, as ``SessionAnalysis`` does."""
 
     quadrant_labels: np.ndarray
     aoi_labels: np.ndarray

@@ -29,10 +29,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .engagement import TemporalMetrics
+from .engagement import MIN_DURATION_MS, SUSTAINED_MS, TemporalMetrics
+from .ingest import VALID_LEVELS
 from .transitions import DwellSummary
-
-LEVELS = (1, 2, 3)
 
 FOCUS_THRESHOLD = {1: 25.0, 2: 40.0, 3: 50.0}
 FOCUS_WEIGHT = {1: 0.4, 2: 0.6, 3: 0.75}
@@ -43,6 +42,7 @@ LEVEL_FOCUS_WEIGHT = {1: 0.2, 2: 0.25, 3: 0.3}
 LEVEL_FEATURE_WEIGHT = {1: 0.5, 2: 1.8, 3: 2.5}
 
 ETA_SOURCES = ("temporal", "aoi_dwell")
+EXCESS_PERIOD_THRESHOLD = 8   # engagement periods before the excess penalty starts
 
 
 class ConfigError(ValueError):
@@ -50,12 +50,12 @@ class ConfigError(ValueError):
 
 
 def _as_max_impact(value) -> Mapping[int, float]:
-    pairs = list(value.items()) if isinstance(value, Mapping) else [(lv, value) for lv in LEVELS]
+    given = value if isinstance(value, Mapping) else dict.fromkeys(VALID_LEVELS, value)
     # bool is an int subclass, but true/false is no level or bound.
-    if any(isinstance(item, bool) for pair in pairs for item in pair):
+    if any(isinstance(item, bool) for pair in given.items() for item in pair):
         raise ConfigError(f"max_impact must hold numbers, not booleans: {value!r}")
-    mapping = {int(k): float(v) for k, v in pairs}
-    missing = [level for level in LEVELS if level not in mapping]
+    mapping = {int(k): float(v) for k, v in given.items()}
+    missing = [level for level in VALID_LEVELS if level not in mapping]
     if missing:
         raise ConfigError(f"max_impact missing levels {missing}")
     return MappingProxyType(mapping)
@@ -67,10 +67,10 @@ class ScoringConfig:
     alpha2: float = 1.5
     gamma: float = 10.0
     delta: float = 1.0
-    tau_min_ms: int = 400
-    tau_sustained_ms: int = 2500
+    tau_min_ms: int = MIN_DURATION_MS
+    tau_sustained_ms: int = SUSTAINED_MS
     gap_tolerance_ms: int = 0
-    excess_period_threshold: int = 8
+    excess_period_threshold: int = EXCESS_PERIOD_THRESHOLD
     max_impact: Mapping[int, float] = field(
         default_factory=lambda: _as_max_impact(15.0)
     )
@@ -168,8 +168,8 @@ class LevelFeatures:
     aoi_time_share_pct: float | None = None
 
     def __post_init__(self) -> None:
-        if self.level not in LEVELS:
-            raise ValueError(f"level must be in {LEVELS}, got {self.level}")
+        if self.level not in VALID_LEVELS:
+            raise ValueError(f"level must be in {VALID_LEVELS}, got {self.level}")
         for name in ("nsq_to_sq", "sq_to_nsq", "interactions", "aoi_transitions", "aoi_switches"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -220,8 +220,8 @@ def psi_focus(sf_pct: float, level: int) -> float:
     Levels 2 and 3 add flat bonuses for landing in their target focus
     bands (strict inequalities on both band edges).
     """
-    if level not in LEVELS:
-        raise ValueError(f"level must be in {LEVELS}, got {level}")
+    if level not in VALID_LEVELS:
+        raise ValueError(f"level must be in {VALID_LEVELS}, got {level}")
     base = max(0.0, sf_pct - FOCUS_THRESHOLD[level]) * FOCUS_WEIGHT[level]
     if level == 2 and 50.0 < sf_pct < 75.0:
         base += FOCUS_RANGE_BONUS
@@ -265,7 +265,7 @@ def bonus_duration(mu_seconds: float) -> float:
     return 0.0
 
 
-def penalty_excess(n_periods: int, threshold: int = 8) -> float:
+def penalty_excess(n_periods: int, threshold: int = EXCESS_PERIOD_THRESHOLD) -> float:
     """0.6 per period beyond the threshold, capped at 4."""
     if n_periods > threshold:
         return min(4.0, (n_periods - threshold) * 0.6)

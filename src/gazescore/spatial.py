@@ -29,10 +29,6 @@ class Quadrant(Enum):
         return self in (Quadrant.Q3, Quadrant.Q4)
 
 
-STIMULUS_QUADRANTS = (Quadrant.Q3, Quadrant.Q4)
-NON_STIMULUS_QUADRANTS = (Quadrant.Q1, Quadrant.Q2)
-
-
 class AoiLabel(Enum):
     LEFT = "left"
     RIGHT = "right"

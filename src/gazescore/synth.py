@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .engagement import MIN_DURATION_MS
 from .ingest import (
+    VALID_LEVELS,
     GameEvent,
     GazeSample,
     LevelSession,
@@ -64,8 +66,8 @@ class SynthProfile:
     student_id: str = "SYNTH"
 
     def __post_init__(self) -> None:
-        if self.level not in (1, 2, 3):
-            raise ProfileError(f"level must be 1, 2 or 3, got {self.level}")
+        if self.level not in VALID_LEVELS:
+            raise ProfileError(f"level must be in {VALID_LEVELS}, got {self.level}")
         if self.duration_ms <= 0 or self.sample_interval_ms <= 0:
             raise ProfileError("duration and sample interval must be positive")
         if not 0 <= self.target_sf_pct <= 100:
@@ -77,8 +79,10 @@ class SynthProfile:
                 raise ProfileError("event accuracy probabilities must lie in [0, 1]")
         if any(length <= 0 for length in self.engagement_period_lengths_ms):
             raise ProfileError("engagement period lengths must be positive")
-        if self.noise_px < 0:
-            raise ProfileError("noise_px must be >= 0")
+        if min(self.seed, self.n_clicks, self.n_answers) < 0:
+            raise ProfileError("seed and event counts must be >= 0")
+        if not 0 <= self.noise_px < math.inf:
+            raise ProfileError(f"noise_px must be finite and >= 0, got {self.noise_px}")
         if self.n_objects < 1:
             raise ProfileError("n_objects must be >= 1")
 
@@ -206,8 +210,8 @@ def generate_session(profile: SynthProfile) -> LevelSession:
     dt = profile.sample_interval_ms
     rng = np.random.default_rng(profile.seed)
     lengths = list(profile.engagement_period_lengths_ms)
-    if any(length < 400 for length in lengths):
-        raise ProfileError("engagement period lengths below 400 ms would not be detected")
+    if any(length < MIN_DURATION_MS for length in lengths):
+        raise ProfileError(f"engagement periods under {MIN_DURATION_MS} ms would not be detected")
 
     if profile.quadrant_dwell_ms is not None:
         gaps = {q: max(1, round(d / dt)) for q, d in zip(Quadrant, profile.quadrant_dwell_ms)}
@@ -244,7 +248,7 @@ def generate_session(profile: SynthProfile) -> LevelSession:
             f"engagement periods occupy {period_time} ms, beyond the AoI dwell "
             f"target of {aoi_time_target} ms"
         )
-    glance_n = max(2, min(math.ceil(400 / dt) - 1, 10))
+    glance_n = max(2, min(math.ceil(MIN_DURATION_MS / dt) - 1, 10))
     for i in range(max(0, glance_time) // (glance_n * dt)):
         if i % 2 == 0:
             left_items.append(_Run(Quadrant.Q3, AoiLabel.LEFT, glance_n))

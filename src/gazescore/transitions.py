@@ -31,7 +31,8 @@ def _read_only_counts(matrix) -> None:
     object.__setattr__(matrix, "counts", read_only(np.array(matrix.counts, dtype=np.int64)))
 
 
-@dataclass(frozen=True)
+# Matrices compare by identity (== over arrays has no truth value).
+@dataclass(frozen=True, eq=False)
 class QuadrantTransitionMatrix:
     """4x4 counts indexed (from, to) in Q1..Q4 order; stored as a read-only copy."""
 
@@ -39,11 +40,8 @@ class QuadrantTransitionMatrix:
 
     __post_init__ = _read_only_counts
 
-    def count(self, source: Quadrant, target: Quadrant) -> int:
-        return int(self.counts[QUADRANT_ORDER.index(source), QUADRANT_ORDER.index(target)])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AoITransitionMatrix:
     """3x3 counts indexed (from, to) in left/right/outside order; stored as a
     read-only copy."""
@@ -51,9 +49,6 @@ class AoITransitionMatrix:
     counts: np.ndarray
 
     __post_init__ = _read_only_counts
-
-    def count(self, source: AoiLabel, target: AoiLabel) -> int:
-        return int(self.counts[AOI_ORDER.index(source), AOI_ORDER.index(target)])
 
 
 @dataclass(frozen=True)

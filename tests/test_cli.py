@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from gazescore import cli
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from gazescore.ingest import CSV_HEADER
+from gazescore.scoring import ScoringConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -27,9 +29,6 @@ class TestSynth:
     def test_fixture_writes_three_files(self, fixture_dir):
         names = sorted(p.name for p in fixture_dir.iterdir())
         assert names == ["S10_level1.csv", "S10_level2.csv", "S10_level3.csv"]
-
-    def test_fixture_alias_accepted(self, tmp_path):
-        assert main(["synth", "--fixture", "paper-tables", "--out", str(tmp_path)]) == EXIT_OK
 
     def test_profile_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -258,6 +257,53 @@ class TestValidate:
         assert "single student" in capsys.readouterr().err
 
 
+# Per ScoringConfig field: the flag's argument (None for a switch) and the
+# value it must give the resolved config, which differs from the default.
+FLAG_CASES = {
+    "alpha1": ("2.5", 2.5),
+    "alpha2": ("0.5", 0.5),
+    "gamma": ("4", 4.0),
+    "delta": ("2", 2.0),
+    "tau_min_ms": ("300", 300),
+    "tau_sustained_ms": ("2000", 2000),
+    "gap_tolerance_ms": ("50", 50),
+    "excess_period_threshold": ("5", 5),
+    "max_impact": ("12", {1: 12.0, 2: 12.0, 3: 12.0}),
+    "eta_source": ("aoi_dwell", "aoi_dwell"),
+    "aoi_total_changes_only": (None, True),
+    "calibration_excellent": ("2", 2.0),
+    "calibration_good": ("7", 7.0),
+    "calibration_fair": ("14", 14.0),
+    "mastery_min": ("90", 90.0),
+    "developing_min": ("50", 50.0),
+}
+INT_FIELDS = [f.name for f in fields(ScoringConfig) if f.type == "int"]
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class TestScoringFlags:
+    def test_every_field_has_a_case(self):
+        assert list(FLAG_CASES) == [f.name for f in fields(ScoringConfig)]
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize("name", list(FLAG_CASES))
+    def test_flag_reaches_config(self, command, name):
+        text, want = FLAG_CASES[name]
+        argv = [command, "--in", "in", _flag(name)] + ([text] if text is not None else [])
+        config = cli._resolve_config(cli._parser().parse_args(argv))
+        assert config == ScoringConfig(**{name: want}) != ScoringConfig()
+
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_fractional_int_flag_is_usage_error(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--in", "in", _flag(name), "400.5"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -362,3 +408,19 @@ def test_failure_class_exit_codes(tmp_path, case, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize(
+    "flags,code",
+    [(["--periods", "abc"], 2), (["--periods", "3000,2.5"], 2), (["--noise", "nan"], EXIT_CONFIG),
+     (["--noise", "inf"], EXIT_CONFIG), (["--seed", "-1"], EXIT_CONFIG),
+     (["--clicks", "-1"], EXIT_CONFIG), (["--answers", "-3"], EXIT_CONFIG)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_synth_failure_exit_codes(tmp_path, flags, code):
+    """A malformed synth flag exits with its code, no traceback and no output."""
+    proc = _run_cli("synth", *flags, "--out", str(tmp_path / "out"))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gazescore.engagement import detect_engagement_periods
+from gazescore.engagement import aoi_runs, detect_engagement_periods, select_periods
 from gazescore.ingest import GazeSample, LevelSession, ObjectPlacement
 from gazescore.spatial import AOI_ORDER, QUADRANT_ORDER, AoiLabel, ScreenGeometry, classify_session
 from gazescore.transitions import (
@@ -124,13 +124,14 @@ def _check_dwell_and_shares(session, quadrants, aois, enum_quadrants, enum_aois)
 def _check_periods(times, labels, tolerance, min_ms, sustained_ms):
     labeled = list(zip(times, labels))
     want = oracles.detect_engagement_periods(labeled, min_ms, sustained_ms, tolerance)
-    codes = [AOI_ORDER.index(label) for label in labels]
-    rows = np.array(list(zip(times, codes)), dtype=np.int64).reshape(-1, 2)
-    for argument in (labeled, rows):
-        got = detect_engagement_periods(
-            argument, min_duration_ms=min_ms, sustained_ms=sustained_ms,
-            gap_tolerance_ms=tolerance,
-        )
+    codes = np.array([AOI_ORDER.index(label) for label in labels], dtype=np.int8)
+    thresholds = dict(min_duration_ms=min_ms, sustained_ms=sustained_ms,
+                      gap_tolerance_ms=tolerance)
+    # The pairs input, and the runs path the pipeline takes.
+    for got in (
+        detect_engagement_periods(labeled, **thresholds),
+        select_periods(aoi_runs(np.array(times, dtype=np.int64), codes), **thresholds),
+    ):
         assert got == want
         for p in got:
             assert type(p.t_start_ms) is int and type(p.t_end_ms) is int

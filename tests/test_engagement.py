@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gazescore.engagement import (
     EngagementPeriod,
-    classify_sustained,
     detect_engagement_periods,
     temporal_metrics,
 )
@@ -136,16 +135,15 @@ class TestProperties:
 
 
 class TestClassifySustained:
+    """The sustained flag compares a period's span with the threshold by >=."""
+
     def test_threshold_is_inclusive(self):
-        periods = [EngagementPeriod(0, 2500, L, False)]
-        assert classify_sustained(periods)[0].sustained is True
+        periods = detect_engagement_periods([(0, L), (2500, L)])
+        assert periods == [EngagementPeriod(0, 2500, L, True)]
 
     def test_just_below(self):
-        periods = [EngagementPeriod(0, 2499, L, True)]
-        assert classify_sustained(periods)[0].sustained is False
-
-    def test_empty(self):
-        assert classify_sustained([]) == []
+        periods = detect_engagement_periods([(0, L), (2499, L)])
+        assert periods == [EngagementPeriod(0, 2499, L, False)]
 
 
 class TestTemporalMetrics:

@@ -165,6 +165,22 @@ def test_analyses_compare_by_identity(session):
     assert len({analysis, twin, analysis}) == 2
 
 
+def test_array_holding_results_compare_by_identity(session):
+    """Matrices, runs and facts hold arrays, so they compare by identity too."""
+    twin = dataclasses.replace(session)
+    analysis, other = analyze_session(session), analyze_session(twin)
+    facts, other_facts = pipeline.session_facts(session), pipeline.session_facts(twin)
+    pairs = [
+        (analysis.quadrant_matrix, other.quadrant_matrix),
+        (analysis.aoi_matrix, other.aoi_matrix),
+        (facts, other_facts),
+        (facts.runs, other_facts.runs),
+    ]
+    for value, equal_twin in pairs:
+        assert value == value and value != equal_twin
+    assert np.array_equal(analysis.quadrant_matrix.counts, other.quadrant_matrix.counts)
+
+
 def test_shared_results_are_read_only(session):
     analysis = analyze_session(session)
     with pytest.raises(ValueError):
