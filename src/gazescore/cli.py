@@ -38,7 +38,8 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_CONFIG = 5
 
-_SESSION_FILE_RE = re.compile(r"^(?P<student>.+)_level(?P<level>[123])\.csv$")
+_LEVEL_NAMES = "|".join(map(str, VALID_LEVELS))
+_SESSION_FILE_RE = re.compile(rf"^(?P<student>.+)_level(?P<level>{_LEVEL_NAMES})\.csv$")
 
 _FIXTURE = "case-study"
 
@@ -105,7 +106,7 @@ def _discover_sessions(
         sessions.append(load_level_csv(path, lvl, sid, geometry))
     if not sessions:
         raise FileNotFoundError(
-            f"no session files matching '<student>_level<1|2|3>.csv' in {in_dir}"
+            f"no session files matching '<student>_level<{_LEVEL_NAMES}>.csv' in {in_dir}"
         )
     return merge_levels(sessions)
 

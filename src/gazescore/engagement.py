@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, label_codes, read_only
+from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, label_codes
 
 MIN_DURATION_MS = 400
 SUSTAINED_MS = 2500
@@ -42,31 +42,41 @@ class TemporalMetrics:
 
 @dataclass(frozen=True, eq=False)
 class AoiRuns:
-    """Run-length encoding of a session's AoI codes.
+    """The in-AoI runs of a session's AoI codes, in time order.
 
-    Run r covers consecutive samples sharing code ``codes[r]``, from
-    time ``t_first_ms[r]`` to ``t_last_ms[r]``. All three arrays are
-    read-only; neighbouring runs have different codes. Runs compare by
-    identity (array fields have no truth value).
+    A run covers consecutive samples sharing one AoI code. ``inside``
+    holds ``(t_first_ms, t_last_ms, code, bridge_gap_ms)`` for each run
+    that is not outside. ``bridge_gap_ms`` is the time from the end of
+    the previous in-AoI run to the start of this one when a single
+    outside run separates two runs of the same code, and None otherwise.
+    Runs compare by identity, as the session facts holding them do.
     """
 
-    t_first_ms: np.ndarray
-    t_last_ms: np.ndarray
-    codes: np.ndarray
+    inside: tuple[tuple[int, int, int, int | None], ...]
 
 
 def aoi_runs(t_ms: np.ndarray, codes: np.ndarray) -> AoiRuns:
     """Maximal same-code runs of time-sorted samples (int64 times, AoI codes)."""
     if len(t_ms) == 0:
-        first = last = np.zeros(0, dtype=np.intp)
-    else:
-        first = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
-        last = np.concatenate((first[1:] - 1, [len(t_ms) - 1]))
-    return AoiRuns(
-        t_first_ms=read_only(t_ms[first]),
-        t_last_ms=read_only(t_ms[last]),
-        codes=read_only(codes[first]),
-    )
+        return AoiRuns(())
+    first = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
+    last = np.concatenate((first[1:] - 1, [len(t_ms) - 1]))
+    t_first, t_last, run_codes = t_ms[first], t_ms[last], codes[first]
+    # Run r may extend the period of run r - 2 across the outside run r - 1.
+    # Neighbouring runs differ, so run r is then in-AoI and run r - 2 is the
+    # in-AoI run before it.
+    bridged = np.zeros(len(first), dtype=bool)
+    bridged[2:] = (run_codes[1:-1] == OUTSIDE_CODE) & (run_codes[2:] == run_codes[:-2])
+    gaps = np.zeros(len(first), dtype=np.int64)
+    gaps[2:] = t_first[2:] - t_last[:-2]
+    inside = np.flatnonzero(run_codes != OUTSIDE_CODE)
+    return AoiRuns(tuple(zip(
+        t_first[inside].tolist(),
+        t_last[inside].tolist(),
+        run_codes[inside].tolist(),
+        [gap if bridge else None
+         for gap, bridge in zip(gaps[inside].tolist(), bridged[inside].tolist())],
+    )))
 
 
 def select_periods(
@@ -80,35 +90,18 @@ def select_periods(
         raise ValueError(
             f"minimum duration {min_duration_ms} exceeds sustained threshold {sustained_ms}"
         )
-    t_first, t_last, run_codes = runs.t_first_ms, runs.t_last_ms, runs.codes
-    inside = np.flatnonzero(run_codes != OUTSIDE_CODE)
-    if len(inside) == 0:
-        return []
-    # joined[r]: in-AoI run r extends the period of run r - 2 across the
-    # outside run between them.
-    joined = np.zeros(len(run_codes), dtype=bool)
-    if gap_tolerance_ms > 0:
-        joined[2:] = (
-            (run_codes[1:-1] == OUTSIDE_CODE)
-            & (run_codes[2:] == run_codes[:-2])
-            & (t_first[2:] - t_last[:-2] <= gap_tolerance_ms)
-        )
-    opens = ~joined[inside]
-    start_run = inside[opens]
-    end_run = inside[np.concatenate((opens[1:], [True]))]
-    t_start = t_first[start_run]
-    t_end = t_last[end_run]
-    keep = t_end - t_start >= min_duration_ms
+    # At tolerance 0 nothing is bridged, not even a gap of 0 ms.
+    bridging = gap_tolerance_ms > 0
+    spans: list[list[int]] = []  # [start, end, code] of each candidate period
+    for t_first, t_last, code, gap in runs.inside:
+        if bridging and gap is not None and gap <= gap_tolerance_ms:
+            spans[-1][1] = t_last
+        else:
+            spans.append([t_first, t_last, code])
     return [
-        EngagementPeriod(
-            t_start_ms=start,
-            t_end_ms=end,
-            aoi=AOI_ORDER[code],
-            sustained=end - start >= sustained_ms,
-        )
-        for start, end, code in zip(
-            t_start[keep].tolist(), t_end[keep].tolist(), run_codes[start_run[keep]].tolist()
-        )
+        EngagementPeriod(start, end, AOI_ORDER[code], end - start >= sustained_ms)
+        for start, end, code in spans
+        if end - start >= min_duration_ms
     ]
 
 

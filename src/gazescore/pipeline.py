@@ -42,8 +42,10 @@ from .validation import GamePerformance, ValidationReport, game_accuracy, valida
 @dataclass(frozen=True, eq=False)
 class SessionFacts:
     """The part of a session's analysis that no ``ScoringConfig`` field
-    changes: labels, matrices, aggregates, dwell, AoI shares, AoI runs and
-    the game tally. Every array in it is read-only, and facts compare by
+    changes: labels, matrices, aggregates, dwell and the sum of its shares,
+    AoI shares, AoI runs and the game tally. ``aoi_pairs`` and
+    ``aoi_changes`` are the AoI metrics with ``aoi_total_changes_only``
+    off and on. Every array in it is read-only, and facts compare by
     identity, as ``SessionAnalysis`` does."""
 
     quadrant_labels: np.ndarray
@@ -51,7 +53,10 @@ class SessionFacts:
     quadrant_matrix: QuadrantTransitionMatrix
     aggregates: TransitionAggregates
     aoi_matrix: AoITransitionMatrix
+    aoi_pairs: AoiMetrics
+    aoi_changes: AoiMetrics
     dwell: DwellSummary
+    dwell_share_sum: float | None
     focus_aoi_pct: float
     aoi_time_share_pct: float
     runs: AoiRuns
@@ -77,13 +82,21 @@ def session_facts(session: LevelSession) -> SessionFacts:
         t = session.samples.t_ms
         quadrants, aois = classify_session(session)
         quadrant_matrix = build_quadrant_matrix(quadrants)
+        aoi_matrix = build_aoi_matrix(aois)
+        dwell = dwell_summary(t, quadrants)
+        duration = dwell.session_duration_ms
         facts = SessionFacts(
             quadrant_labels=quadrants,
             aoi_labels=aois,
             quadrant_matrix=quadrant_matrix,
             aggregates=aggregate_transitions(quadrant_matrix),
-            aoi_matrix=build_aoi_matrix(aois),
-            dwell=dwell_summary(t, quadrants),
+            aoi_matrix=aoi_matrix,
+            aoi_pairs=aoi_metrics(aoi_matrix, changes_only=False),
+            aoi_changes=aoi_metrics(aoi_matrix, changes_only=True),
+            dwell=dwell,
+            dwell_share_sum=(
+                sum(dwell.time_in_quadrant.values()) / duration if duration > 0 else None
+            ),
             focus_aoi_pct=aoi_sample_share_pct(aois),
             aoi_time_share_pct=aoi_time_share_pct(t, aois),
             runs=aoi_runs(t, aois),
@@ -134,7 +147,7 @@ def analyze_session(
     (``session_facts``); each call runs only the config-dependent ones.
     """
     facts = session_facts(session)
-    aoi_stats = aoi_metrics(facts.aoi_matrix, changes_only=config.aoi_total_changes_only)
+    aoi_stats = facts.aoi_changes if config.aoi_total_changes_only else facts.aoi_pairs
     periods = select_periods(
         facts.runs,
         min_duration_ms=config.tau_min_ms,
@@ -157,7 +170,7 @@ def analyze_session(
         aoi_time_share_pct=facts.aoi_time_share_pct,
     )
     breakdown = final_score(features, config)
-    violations = check_constraints(breakdown, facts.dwell, config)
+    violations = check_constraints(breakdown, facts.dwell_share_sum, config)
 
     return SessionAnalysis(
         session=session,

@@ -26,6 +26,11 @@ VALIDATION_NOTE = (
 )
 
 
+# Label names in matrix order, built once: Enum ``.value`` is a property.
+_QUADRANT_NAMES = tuple(q.value for q in QUADRANT_ORDER)
+_AOI_NAMES = tuple(a.value for a in AOI_ORDER)
+
+
 def _pct(value: float | None) -> float | None:
     return None if value is None else round(float(value), 1)
 
@@ -60,9 +65,9 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
             "final_score": _score(b.final_score),
         },
         "transitions": {
-            "quadrant_order": [q.value for q in QUADRANT_ORDER],
+            "quadrant_order": list(_QUADRANT_NAMES),
             "quadrant_counts": analysis.quadrant_matrix.counts.tolist(),
-            "aoi_order": [a.value for a in AOI_ORDER],
+            "aoi_order": list(_AOI_NAMES),
             "aoi_counts": analysis.aoi_matrix.counts.tolist(),
             "nsq_to_sq": analysis.aggregates.nsq_to_sq,
             "sq_to_nsq": analysis.aggregates.sq_to_nsq,
@@ -74,9 +79,8 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
             "aoi_efficiency": _ratio(analysis.aoi.efficiency),
             "fixations_left": analysis.aoi.fixations_left,
             "fixations_right": analysis.aoi.fixations_right,
-            "dwell_ms": {
-                q.value: analysis.dwell.time_in_quadrant[q] for q in QUADRANT_ORDER
-            },
+            # time_in_quadrant is in QUADRANT_ORDER (DwellSummary).
+            "dwell_ms": dict(zip(_QUADRANT_NAMES, analysis.dwell.time_in_quadrant.values())),
             "session_duration_ms": analysis.dwell.session_duration_ms,
             "stimuli_focus_pct": _pct(analysis.dwell.stimuli_focus_pct),
             "focus_aoi_pct": _pct(analysis.features.focus_aoi_pct),

@@ -31,7 +31,6 @@ from typing import Mapping
 
 from .engagement import MIN_DURATION_MS, SUSTAINED_MS, TemporalMetrics
 from .ingest import VALID_LEVELS
-from .transitions import DwellSummary
 
 FOCUS_THRESHOLD = {1: 25.0, 2: 40.0, 3: 50.0}
 FOCUS_WEIGHT = {1: 0.4, 2: 0.6, 3: 0.75}
@@ -342,10 +341,15 @@ def final_score(
 
 def check_constraints(
     breakdown: ScoreBreakdown,
-    dwell: DwellSummary | None = None,
+    dwell_share_sum: float | None = None,
     config: ScoringConfig = ScoringConfig(),
 ) -> list[str]:
-    """Model bound checks; violations come back as data, not exceptions."""
+    """Model bound checks; violations come back as data, not exceptions.
+
+    ``dwell_share_sum`` is the sum of the quadrant dwell times over the
+    session duration (None when the session has no duration, or to skip
+    the check).
+    """
     violations: list[str] = []
     if not 0 <= breakdown.final_score <= 100:
         violations.append(f"final score {breakdown.final_score} outside [0, 100]")
@@ -354,10 +358,6 @@ def check_constraints(
         violations.append(
             f"temporal impact {breakdown.temporal_impact} exceeds level cap {cap}"
         )
-    if dwell is not None and dwell.session_duration_ms > 0:
-        share_sum = (
-            sum(dwell.time_in_quadrant.values()) / dwell.session_duration_ms
-        )
-        if abs(share_sum - 1.0) > 1e-9:
-            violations.append(f"quadrant dwell shares sum to {share_sum}, expected 1")
+    if dwell_share_sum is not None and abs(dwell_share_sum - 1.0) > 1e-9:
+        violations.append(f"quadrant dwell shares sum to {dwell_share_sum}, expected 1")
     return violations

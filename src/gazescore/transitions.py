@@ -72,14 +72,18 @@ class AoiMetrics:
 
 @dataclass(frozen=True)
 class DwellSummary:
-    """``time_in_quadrant`` is stored as a read-only mapping."""
+    """``time_in_quadrant`` is stored as a read-only mapping in
+    ``QUADRANT_ORDER``; it must hold every quadrant."""
 
     time_in_quadrant: Mapping[Quadrant, int]
     session_duration_ms: int
     stimuli_focus_pct: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "time_in_quadrant", MappingProxyType(dict(self.time_in_quadrant)))
+        time_in = self.time_in_quadrant
+        object.__setattr__(
+            self, "time_in_quadrant", MappingProxyType({q: time_in[q] for q in QUADRANT_ORDER})
+        )
 
 
 def _pair_matrix(labels: Labels, order: tuple) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Ground-truth game accuracy and model-score validation metrics.
 
 Correlations are reported as None ("undefined") rather than 0 whenever
-they are not meaningful: fewer than two pairs or a constant series.
+they are not meaningful: fewer than two pairs or a constant series. The
+metrics are computed in plain Python floats: the pipeline passes one
+pair per level, and NumPy's per-call overhead would dominate so few
+values. Non-finite input raises ValueError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 from .ingest import GameEvent
 from .scoring import ScoringConfig
@@ -74,25 +76,58 @@ def game_accuracy(events: Sequence[GameEvent]) -> GamePerformance:
     )
 
 
-def _paired(model: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _paired(model: Sequence[float], truth: Sequence[float]) -> tuple[list[float], list[float]]:
     if len(model) != len(truth):
         raise ValueError(f"length mismatch: {len(model)} vs {len(truth)}")
     if len(model) == 0:
         raise ValueError("need at least one pair")
-    return np.asarray(model, dtype=float), np.asarray(truth, dtype=float)
+    m = [float(v) for v in model]
+    t = [float(v) for v in truth]
+    for i, (a, b) in enumerate(zip(m, t)):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"non-finite value in pair {i}: model {a}, truth {b}")
+    return m, t
+
+
+# Every sum below runs left to right from 0.0, as NumPy sums fewer than 8
+# values. NumPy sums 8 or more pairwise, so results may differ from a
+# NumPy implementation in the last bits there.
+def _mean(values: list[float]) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _mae(m: list[float], t: list[float]) -> float:
+    return _mean([abs(a - b) for a, b in zip(m, t)])
+
+
+def _rmse(m: list[float], t: list[float]) -> float:
+    d = [a - b for a, b in zip(m, t)]
+    return math.sqrt(_dot(d, d) / len(d))
 
 
 def mae(model: Sequence[float], truth: Sequence[float]) -> float:
-    m, t = _paired(model, truth)
-    return float(np.mean(np.abs(m - t)))
+    return _mae(*_paired(model, truth))
 
 
 def rmse(model: Sequence[float], truth: Sequence[float]) -> float:
-    m, t = _paired(model, truth)
-    return float(np.sqrt(np.mean((m - t) ** 2)))
+    return _rmse(*_paired(model, truth))
 
 
-def _deviations(values: np.ndarray) -> np.ndarray:
+def _constant(values: list[float]) -> bool:
+    return values.count(values[0]) == len(values)
+
+
+def _deviations(values: list[float]) -> list[float]:
     """Deviations from the mean of a non-constant series, scaled to peak 1.
 
     The exact power-of-two prescale lifts subnormal values, whose mean
@@ -101,10 +136,26 @@ def _deviations(values: np.ndarray) -> np.ndarray:
     when the spread is tiny next to the values; the final scaling keeps
     squares clear of underflow. None of these changes the correlation.
     """
-    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
-    d = values - values.sum() / len(values)
-    d -= d.sum() / len(d)
-    return d / np.abs(d).max()
+    shift = -math.frexp(max(map(abs, values)))[1]
+    values = [math.ldexp(v, shift) for v in values]
+    center = _mean(values)
+    d = [v - center for v in values]
+    center = _mean(d)
+    d = [v - center for v in d]
+    peak = max(map(abs, d))
+    return [v / peak for v in d]
+
+
+def _pearson(m: list[float], t: list[float]) -> float | None:
+    # Constancy is tested on the values: the rounded mean of a constant
+    # series leaves tiny non-zero deviations.
+    if _constant(m) or _constant(t):
+        return None
+    dm = _deviations(m)
+    dt = _deviations(t)
+    r = _dot(dm, dt) / (math.sqrt(_dot(dm, dm)) * math.sqrt(_dot(dt, dt)))
+    # Rounding can carry r a few ulps past +/-1.
+    return min(1.0, max(-1.0, r))
 
 
 def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
@@ -112,29 +163,36 @@ def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
     m, t = _paired(model, truth)
     if len(m) < 2:
         raise ValueError("need at least two pairs")
-    # Constancy is tested on the values: the rounded mean of a constant
-    # series leaves tiny non-zero deviations.
-    if (m == m[0]).all() or (t == t[0]).all():
-        return None
-    dm = _deviations(m)
-    dt = _deviations(t)
-    r = float((dm * dt).sum() / (np.sqrt((dm * dm).sum()) * np.sqrt((dt * dt).sum())))
-    # Rounding can carry r a few ulps past +/-1.
-    return min(1.0, max(-1.0, r))
+    return _pearson(m, t)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: list[float]) -> list[float]:
     """1-based ranks with ties receiving the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    ranks = [0.0] * n
     i = 0
-    while i < len(values):
+    while i < n:
         j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        rank = (i + j) / 2 + 1
+        for k in order[i : j + 1]:
+            ranks[k] = rank
         i = j + 1
     return ranks
+
+
+def _spearman(m: list[float], t: list[float]) -> float | None:
+    if _constant(m) or _constant(t):
+        return None
+    n = len(m)
+    rm = _average_ranks(m)
+    rt = _average_ranks(t)
+    if len(set(m)) == n and len(set(t)) == n:
+        d = [a - b for a, b in zip(rm, rt)]
+        return 1 - 6 * _dot(d, d) / (n * (n * n - 1))
+    return _pearson(rm, rt)
 
 
 def spearman(model: Sequence[float], truth: Sequence[float]) -> float | None:
@@ -145,18 +203,9 @@ def spearman(model: Sequence[float], truth: Sequence[float]) -> float | None:
     Constant series make the coefficient undefined (None).
     """
     m, t = _paired(model, truth)
-    n = len(m)
-    if n < 2:
+    if len(m) < 2:
         raise ValueError("need at least two pairs")
-    if np.all(m == m[0]) or np.all(t == t[0]):
-        return None
-    rm = _average_ranks(m)
-    rt = _average_ranks(t)
-    tie_free = len(np.unique(m)) == n and len(np.unique(t)) == n
-    if tie_free:
-        d = rm - rt
-        return float(1 - 6 * np.sum(d**2) / (n * (n**2 - 1)))
-    return pearson(rm, rt)
+    return _spearman(m, t)
 
 
 def validate_scores(
@@ -165,16 +214,11 @@ def validate_scores(
     """Error metrics plus correlations, with undefined values left as None."""
     m, t = _paired(model, truth)
     n = len(m)
-    pear: float | None = None
-    spear: float | None = None
-    if n >= 2:
-        pear = pearson(m, t)
-        spear = spearman(m, t)
     return ValidationReport(
-        mae_pct=mae(m, t),
-        rmse_pct=rmse(m, t),
-        pearson_r=pear,
-        spearman_rho=spear,
+        mae_pct=_mae(m, t),
+        rmse_pct=_rmse(m, t),
+        pearson_r=_pearson(m, t) if n >= 2 else None,
+        spearman_rho=_spearman(m, t) if n >= 2 else None,
         n=n,
     )
 

@@ -5,7 +5,9 @@ These are the straightforward Python loops the columnar code in
 ``gazescore`` replaced. They walk one record, one ``GazeSample``, one
 Enum label or one CSV row at a time and serve as oracles in the
 equivalence property tests. ``report_json`` is the report text as the
-``json`` module's indent-2 encoder writes it.
+``json`` module's indent-2 encoder writes it. ``mae`` to
+``validate_scores`` are the NumPy validation metrics the plain-float ones
+in ``gazescore.validation`` replaced.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from gazescore.spatial import (
     aoi_bounds,
 )
 from gazescore.transitions import DwellSummary
+from gazescore.validation import ValidationReport
 
 _QUADRANT_INDEX = {q: i for i, q in enumerate(Quadrant)}
 _AOI_INDEX = {a: i for i, a in enumerate(AoiLabel)}
@@ -453,3 +456,108 @@ def emit_plot_data(analyses, out_dir: str | Path) -> list[Path]:
 def report_json(report: dict) -> str:
     """The report text ``write_report`` wrote before its own encoder."""
     return json.dumps(report, indent=2)
+
+
+def _paired(model: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    if len(model) != len(truth):
+        raise ValueError(f"length mismatch: {len(model)} vs {len(truth)}")
+    if len(model) == 0:
+        raise ValueError("need at least one pair")
+    return np.asarray(model, dtype=float), np.asarray(truth, dtype=float)
+
+
+def mae(model: Sequence[float], truth: Sequence[float]) -> float:
+    m, t = _paired(model, truth)
+    return float(np.mean(np.abs(m - t)))
+
+
+def rmse(model: Sequence[float], truth: Sequence[float]) -> float:
+    m, t = _paired(model, truth)
+    return float(np.sqrt(np.mean((m - t) ** 2)))
+
+
+def _deviations(values: np.ndarray) -> np.ndarray:
+    """Deviations from the mean of a non-constant series, scaled to peak 1.
+
+    The exact power-of-two prescale lifts subnormal values, whose mean
+    is not representable ([0, 5e-324] has no midpoint). The second
+    centering removes the first mean's rounding error, which dominates
+    when the spread is tiny next to the values; the final scaling keeps
+    squares clear of underflow. None of these changes the correlation.
+    """
+    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+    d = values - values.sum() / len(values)
+    d -= d.sum() / len(d)
+    return d / np.abs(d).max()
+
+
+def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
+    """Product-moment correlation in [-1, 1]; None when either series is constant."""
+    m, t = _paired(model, truth)
+    if len(m) < 2:
+        raise ValueError("need at least two pairs")
+    # Constancy is tested on the values: the rounded mean of a constant
+    # series leaves tiny non-zero deviations.
+    if (m == m[0]).all() or (t == t[0]).all():
+        return None
+    dm = _deviations(m)
+    dt = _deviations(t)
+    r = float((dm * dt).sum() / (np.sqrt((dm * dm).sum()) * np.sqrt((dt * dt).sum())))
+    # Rounding can carry r a few ulps past +/-1.
+    return min(1.0, max(-1.0, r))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties receiving the average of their positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def spearman(model: Sequence[float], truth: Sequence[float]) -> float | None:
+    """Rank correlation with average ranks under ties.
+
+    Tie-free input uses the closed-form 1 - 6*sum(d^2)/(n(n^2-1));
+    otherwise the product-moment formula is applied to the rank vectors.
+    Constant series make the coefficient undefined (None).
+    """
+    m, t = _paired(model, truth)
+    n = len(m)
+    if n < 2:
+        raise ValueError("need at least two pairs")
+    if np.all(m == m[0]) or np.all(t == t[0]):
+        return None
+    rm = _average_ranks(m)
+    rt = _average_ranks(t)
+    tie_free = len(np.unique(m)) == n and len(np.unique(t)) == n
+    if tie_free:
+        d = rm - rt
+        return float(1 - 6 * np.sum(d**2) / (n * (n**2 - 1)))
+    return pearson(rm, rt)
+
+
+def validate_scores(
+    model: Sequence[float], truth: Sequence[float]
+) -> ValidationReport:
+    """Error metrics plus correlations, with undefined values left as None."""
+    m, t = _paired(model, truth)
+    n = len(m)
+    pear: float | None = None
+    spear: float | None = None
+    if n >= 2:
+        pear = pearson(m, t)
+        spear = spearman(m, t)
+    return ValidationReport(
+        mae_pct=mae(m, t),
+        rmse_pct=rmse(m, t),
+        pearson_r=pear,
+        spearman_rho=spear,
+        n=n,
+    )

@@ -73,6 +73,15 @@ class TestAnalyze:
         assert code == EXIT_IO
         assert not (tmp_path / "out" / "report_S10.json").exists()
 
+    def test_no_session_files_names_the_level_set(self, tmp_path, capsys):
+        (tmp_path / "S10_level4.csv").write_text("")
+        code = main(["analyze", "--in", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert (
+            f"no session files matching '<student>_level<1|2|3>.csv' in {tmp_path}"
+            in capsys.readouterr().err
+        )
+
     def test_reports_byte_identical(self, fixture_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

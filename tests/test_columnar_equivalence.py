@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from gazescore.engagement import aoi_runs, detect_engagement_periods, select_periods
 from gazescore.ingest import GazeSample, LevelSession, ObjectPlacement
-from gazescore.spatial import AOI_ORDER, QUADRANT_ORDER, AoiLabel, ScreenGeometry, classify_session
+from gazescore.spatial import (
+    AOI_ORDER, LEFT_CODE, QUADRANT_ORDER, RIGHT_CODE, AoiLabel, ScreenGeometry, classify_session,
+)
 from gazescore.transitions import (
     aoi_sample_share_pct,
     aoi_time_share_pct,
@@ -173,3 +175,32 @@ def test_zero_tolerance_never_bridges_equal_timestamps():
     labels = [left, left, out, left, left]
     _check_periods(times, labels, 0, 400, 2500)
     assert len(detect_engagement_periods(list(zip(times, labels)))) == 2
+
+
+def test_equal_timestamps_across_one_outside_sample_join_only_above_zero_tolerance():
+    left, out = AoiLabel.LEFT, AoiLabel.OUTSIDE
+    times = [0, 400, 400, 400, 800]
+    labels = [left, left, out, left, left]
+    codes = np.array([AOI_ORDER.index(label) for label in labels], dtype=np.int8)
+    runs = aoi_runs(np.array(times, dtype=np.int64), codes)
+    for tolerance, spans in ((0, [(0, 400), (400, 800)]), (1, [(0, 800)])):
+        _check_periods(times, labels, tolerance, 400, 2500)
+        periods = select_periods(runs, gap_tolerance_ms=tolerance)
+        assert [(p.t_start_ms, p.t_end_ms) for p in periods] == spans
+
+
+def test_runs_keep_in_aoi_runs_with_their_bridge_gaps():
+    left, right, out = LEFT_CODE, RIGHT_CODE, AOI_ORDER.index(AoiLabel.OUTSIDE)
+    codes = np.array([out, left, left, out, out, left, right, out, right, out, left],
+                     dtype=np.int8)
+    times = np.arange(0, 1100, 100, dtype=np.int64)
+    # Only the left run after two outside samples, and the right run after
+    # one, follow an outside run that has the same side before it.
+    assert aoi_runs(times, codes).inside == (
+        (100, 200, left, None),
+        (500, 500, left, 300),
+        (600, 600, right, None),
+        (800, 800, right, 200),
+        (1000, 1000, left, None),
+    )
+    assert aoi_runs(times[:0], codes[:0]).inside == ()

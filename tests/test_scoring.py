@@ -448,6 +448,12 @@ class TestCheckConstraints:
         violations = check_constraints(bad)
         assert len(violations) == 1 and "final score" in violations[0]
 
+    def test_dwell_share_sum_violation(self):
+        breakdown = final_score(features())
+        assert check_constraints(breakdown, 1.0) == check_constraints(breakdown, None) == []
+        violations = check_constraints(breakdown, 0.5)
+        assert violations == ["quadrant dwell shares sum to 0.5, expected 1"]
+
     def test_impact_cap_violation(self):
         bad = ScoreBreakdown(
             level=2,

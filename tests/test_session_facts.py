@@ -139,6 +139,21 @@ def test_facts_computed_once_for_sixteen_configs(session, monkeypatch):
     assert len({a.breakdown.base_score for a in analyses}) == 4
 
 
+def test_aoi_metrics_computed_with_the_facts(session, monkeypatch):
+    calls = []
+    metrics = pipeline.aoi_metrics
+
+    def counted(matrix, changes_only):
+        calls.append(changes_only)
+        return metrics(matrix, changes_only)
+
+    monkeypatch.setattr(pipeline, "aoi_metrics", counted)
+    for changes_only in (False, True, False, True):
+        analysis = analyze_session(session, ScoringConfig(aoi_total_changes_only=changes_only))
+        assert analysis.aoi == metrics(analysis.aoi_matrix, changes_only=changes_only)
+    assert sorted(calls) == [False, True]
+
+
 def test_replace_gets_fresh_facts(session):
     placed = analyze_session(session)
     assert np.any(placed.aoi_labels != OUTSIDE_CODE)
@@ -197,10 +212,9 @@ def test_shared_results_are_read_only(session):
 def test_read_only_arrays_cannot_be_made_writeable(session):
     """Clearing the flag alone would let a caller set it back and write."""
     analysis = analyze_session(session)
-    runs = pipeline.session_facts(session).runs
     for array in (
         analysis.quadrant_labels, analysis.aoi_labels, analysis.quadrant_matrix.counts,
-        analysis.aoi_matrix.counts, runs.t_first_ms, runs.t_last_ms, runs.codes,
+        analysis.aoi_matrix.counts,
         session.samples.t_ms, session.samples.x_px, session.samples.y_px,
     ):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+import oracles
+from gazescore import validation
 from gazescore.ingest import GameEvent
 from gazescore.scoring import ScoringConfig
 from gazescore.validation import (
@@ -23,6 +27,39 @@ MODEL = [99.7, 99.0, 98.9]
 TRUTH = [94.4, 97.8, 87.2]
 
 series = st.lists(st.floats(0, 100, allow_nan=False), min_size=2, max_size=20)
+
+# Ties, constants, round scores, and the subnormal, underflow and
+# tiny-spread values of TestPearson.
+SPECIAL_VALUES = [
+    0.0, -0.0, 50.0, 100.0, 1.9, 0.5, 0.5 + 9.467340811979241e-14,
+    1.5473850336077475e-158, 5e-324, 2.2250738585072014e-308, 1e20, -1e20,
+]
+values = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.integers(0, 3).map(float),
+    st.floats(0, 100).map(lambda v: round(v, 1)),
+    st.floats(-1e20, 1e20),
+)
+
+
+@st.composite
+def paired_series(draw, min_size: int, max_size: int) -> tuple[list[float], list[float]]:
+    n = draw(st.integers(min_size, max_size))
+    series_of_n = st.one_of(
+        st.lists(values, min_size=n, max_size=n),
+        values.map(lambda v: [v] * n),
+    )
+    return draw(series_of_n), draw(series_of_n)
+
+
+def _metrics(module, m, t) -> list[float | None]:
+    """Every figure the metrics give for one input, plain floats or None."""
+    report = module.validate_scores(m, t)
+    got = [report.mae_pct, report.rmse_pct, report.pearson_r, report.spearman_rho,
+           module.mae(m, t), module.rmse(m, t)]
+    if len(m) >= 2:
+        got += [module.pearson(m, t), module.spearman(m, t)]
+    return [None if v is None else float(v) for v in got]
 
 
 def events_for(kind, correct, total):
@@ -251,6 +288,37 @@ class TestValidateScores:
     def test_constant_model_with_inexact_mean_undefined(self):
         report = validate_scores([1.9, 1.9, 1.9], TRUTH)
         assert report.pearson_r is None and report.spearman_rho is None
+
+
+class TestAgainstNumpyOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(paired_series(1, 7))
+    def test_bit_equal_below_eight_pairs(self, pair):
+        # NumPy sums fewer than 8 values left to right, as the plain floats do.
+        m, t = pair
+        want = [None if v is None else v.hex() for v in _metrics(oracles, m, t)]
+        got = [None if v is None else v.hex() for v in _metrics(validation, m, t)]
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(paired_series(8, 60))
+    def test_close_from_eight_pairs(self, pair):
+        # NumPy sums 8 or more values pairwise: only the rounding differs.
+        m, t = pair
+        for got, want in zip(_metrics(validation, m, t), _metrics(oracles, m, t)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("metric", [validate_scores, mae, rmse, pearson, spearman])
+    def test_raises_naming_the_first_non_finite_pair(self, metric, bad):
+        with pytest.raises(ValueError, match="non-finite value in pair 1"):
+            metric([1.0, bad, 2.0], [1.0, 2.0, bad])
+        with pytest.raises(ValueError, match="non-finite value in pair 0"):
+            metric([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
 class TestAssessments:
