@@ -187,7 +187,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         profile = SynthProfile(
             seed=args.seed,
-            level=args.level or 1,
+            level=args.level,
             duration_ms=args.duration_ms,
             sample_interval_ms=args.sample_interval_ms,
             target_sf_pct=args.sf,
@@ -197,7 +197,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             n_clicks=args.clicks,
             n_answers=args.answers,
             noise_px=args.noise,
-            student_id=args.student or "SYNTH",
+            student_id=args.student or SynthProfile.student_id,
         )
         session = generate_session(profile)
         written = write_session_set(merge_levels([session]), out_dir)
@@ -243,20 +243,24 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", default="synth-out", help="output directory")
     synth.add_argument("--fixture", default=None,
                        help=f"named fixture to generate ({_FIXTURE})")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--level", type=int, choices=VALID_LEVELS, default=None)
+    profile = SynthProfile()  # the profile flags default to its fields
+    click_accuracy, answer_accuracy = profile.event_accuracy
+    synth.add_argument("--seed", type=int, default=profile.seed)
+    synth.add_argument("--level", type=int, choices=VALID_LEVELS, default=profile.level)
     synth.add_argument("--student", default=None)
-    synth.add_argument("--duration-ms", type=int, default=60000, dest="duration_ms")
-    synth.add_argument("--sample-interval-ms", type=int, default=16, dest="sample_interval_ms")
-    synth.add_argument("--sf", type=float, default=60.0, help="target stimulus focus percent")
-    synth.add_argument("--aoi-share", type=float, default=0.25, dest="aoi_share")
-    synth.add_argument("--periods", type=_period_lengths, default="3000,2600,800",
+    synth.add_argument("--duration-ms", type=int, default=profile.duration_ms)
+    synth.add_argument("--sample-interval-ms", type=int, default=profile.sample_interval_ms)
+    synth.add_argument("--sf", type=float, default=profile.target_sf_pct,
+                       help="target stimulus focus percent")
+    synth.add_argument("--aoi-share", type=float, default=profile.target_aoi_dwell_share)
+    synth.add_argument("--periods", type=_period_lengths,
+                       default=profile.engagement_period_lengths_ms,
                        help="comma-separated engagement lengths in ms")
-    synth.add_argument("--clicks", type=int, default=12)
-    synth.add_argument("--answers", type=int, default=20)
-    synth.add_argument("--click-accuracy", type=float, default=0.8, dest="click_accuracy")
-    synth.add_argument("--answer-accuracy", type=float, default=0.9, dest="answer_accuracy")
-    synth.add_argument("--noise", type=float, default=6.0)
+    synth.add_argument("--clicks", type=int, default=profile.n_clicks)
+    synth.add_argument("--answers", type=int, default=profile.n_answers)
+    synth.add_argument("--click-accuracy", type=float, default=click_accuracy)
+    synth.add_argument("--answer-accuracy", type=float, default=answer_accuracy)
+    synth.add_argument("--noise", type=float, default=profile.noise_px)
     synth.set_defaults(func=cmd_synth)
 
     return parser

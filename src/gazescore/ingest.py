@@ -12,6 +12,7 @@ independently. Coordinate pairs are stored as text like ``"(1250, 680)"``.
 from __future__ import annotations
 
 import csv
+import heapq
 import logging
 import math
 import operator
@@ -273,25 +274,20 @@ def _timestamp_values(cells: tuple[str, ...]) -> list[float]:
             values.append(_parse_timestamp(cells[len(values)]))
 
 
-def _cell_fields(cell: str) -> tuple[str, str, str]:
-    cell = cell.strip()
-    match = _COORD_RE.match(cell)
-    return (match[1], match[2], "") if match else ("", "", cell)
-
-
 def _gaze_fields(cells: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     """x text, y text and leftover text per gaze cell: x and y are set for a
     coordinate pair, the leftover for anything else, none for a blank cell.
 
-    One ``findall`` over the joined column does the work; a column with a
-    line break inside a cell goes cell by cell instead.
+    One ``findall`` over the joined column does the work. A line break
+    inside a cell is read as a space, which is whitespace to a pair and to
+    the leftover test alike.
     """
+    if not cells:
+        return (), (), ()
     joined = "\n".join(cells)
-    if joined.count("\n") == len(cells) - 1:
-        found = _GAZE_LINES_RE.findall(joined)
-    else:
-        found = list(map(_cell_fields, cells))
-    return tuple(zip(*found)) or ((), (), ())
+    if joined.count("\n") != len(cells) - 1:
+        joined = "\n".join(cell.replace("\n", " ") for cell in cells)
+    return tuple(zip(*_GAZE_LINES_RE.findall(joined)))
 
 
 def _parse_bool(text: str) -> bool | None:
@@ -535,53 +531,31 @@ def _format_coord(x: float, y: float) -> str:
 def write_level_csv(session: LevelSession, path: str | Path) -> Path:
     """Serialize a session back to the canonical CSV (LF line endings).
 
-    Reloading the written file yields an identical session, provided the
-    session is normalized (first sample at t=0) as load_level_csv output
-    always is.
+    Rows run by time; at equal times a placement comes first, then a
+    sample, then an event, each kind in its session order. Reloading the
+    written file yields an identical session, provided the session is
+    normalized (first sample at t=0) as load_level_csv output always is.
     """
     path = Path(path)
-    rows: list[tuple[int, int, list[str]]] = []
-    for placement in session.placements:
-        rows.append(
-            (
-                placement.t_ms,
-                0,
-                [
-                    str(placement.t_ms),
-                    "",
-                    _format_coord(placement.obj_x_px, placement.obj_y_px),
-                    _format_number(placement.aoi_w_px),
-                    _format_number(placement.aoi_h_px),
-                    "",
-                    "",
-                ],
-            )
-        )
+    by_time = operator.attrgetter("t_ms")
     samples = session.samples
-    for t, x, y in zip(samples.t_ms.tolist(), samples.x_px.tolist(), samples.y_px.tolist()):
-        rows.append((t, 1, [str(t), _format_coord(x, y), "", "", "", "", ""]))
-    for event in session.events:
-        rows.append(
-            (
-                event.t_ms,
-                2,
-                [
-                    str(event.t_ms),
-                    "",
-                    "",
-                    "",
-                    "",
-                    event.kind,
-                    "true" if event.correct else "false",
-                ],
-            )
-        )
-    rows.sort(key=lambda item: (item[0], item[1]))
+    order = np.argsort(samples.t_ms, kind="stable")
+    t, x, y = (column[order].tolist() for column in (samples.t_ms, samples.x_px, samples.y_px))
+    rows = heapq.merge(
+        (
+            (p.t_ms, 0, f'{p.t_ms},,"{_format_coord(p.obj_x_px, p.obj_y_px)}",'
+             f"{_format_number(p.aoi_w_px)},{_format_number(p.aoi_h_px)},,\n")
+            for p in sorted(session.placements, key=by_time)
+        ),
+        ((ti, 1, f'{ti},"{_format_coord(xi, yi)}",,,,,\n') for ti, xi, yi in zip(t, x, y)),
+        (
+            (e.t_ms, 2, f"{e.t_ms},,,,,{e.kind},{'true' if e.correct else 'false'}\n")
+            for e in sorted(session.events, key=by_time)
+        ),
+    )
     with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for _, _, row in rows:
-            writer.writerow(row)
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(line for _, _, line in rows)
     return path
 
 

@@ -18,16 +18,19 @@ from .engagement import MIN_DURATION_MS
 from .ingest import (
     VALID_LEVELS,
     GameEvent,
-    GazeSample,
     LevelSession,
     ObjectPlacement,
+    SampleColumns,
     SessionSet,
     merge_levels,
     write_level_csv,
 )
-from .spatial import AoiLabel, Quadrant, ScreenGeometry
+from .spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel, Quadrant, ScreenGeometry
 
 GEOMETRY = ScreenGeometry()
+
+# generate_session tops its placements up to at least this many.
+N_OBJECTS = 4
 
 LEFT_OBJECT = (480.0, 810.0)
 RIGHT_OBJECT = (1440.0, 810.0)
@@ -56,13 +59,11 @@ class SynthProfile:
     sample_interval_ms: int = 16
     target_sf_pct: float = 60.0
     target_aoi_dwell_share: float = 0.25
-    n_objects: int = 4
     engagement_period_lengths_ms: tuple[int, ...] = (3000, 2600, 800)
     event_accuracy: tuple[float, float] = (0.8, 0.9)
     n_clicks: int = 12
     n_answers: int = 20
     noise_px: float = 6.0
-    quadrant_dwell_ms: tuple[int, int, int, int] | None = None
     student_id: str = "SYNTH"
 
     def __post_init__(self) -> None:
@@ -83,8 +84,6 @@ class SynthProfile:
             raise ProfileError("seed and event counts must be >= 0")
         if not 0 <= self.noise_px < math.inf:
             raise ProfileError(f"noise_px must be finite and >= 0, got {self.noise_px}")
-        if self.n_objects < 1:
-            raise ProfileError("n_objects must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -114,61 +113,57 @@ def _object_for(side: AoiLabel) -> tuple[float, float]:
 
 def _compile(
     runs: list[_Run], dt: int, rng: np.random.Generator, noise_px: float
-) -> tuple[list[GazeSample], list[ObjectPlacement]]:
-    """Emit samples and placements for a run list on a dt grid."""
-    samples: list[GazeSample] = []
+) -> tuple[SampleColumns, list[ObjectPlacement]]:
+    """Emit samples and placements for a run list on a dt grid.
+
+    Each sample is its run's centre plus uniform jitter of up to
+    ``noise_px`` (at most the half-size of the run's box), drawn x then y,
+    sample by sample, in one call.
+    """
+    times: list[np.ndarray] = []
+    shapes: list[tuple[float, float, float, float]] = []  # centre x, y; half-size x, y
     placements: list[ObjectPlacement] = []
     active: AoiLabel | None = None
     t = 0
     for run in runs:
         if run.exact_span_ms is None:
-            offsets = [i * dt for i in range(run.n)]
+            offsets = np.arange(run.n) * dt
             footprint = run.n * dt
         else:
             span = run.exact_span_ms
-            offsets = [i * dt for i in range(span // dt + 1)]
+            offsets = np.arange(span // dt + 1) * dt
             if span % dt:
-                offsets.append(span)
+                offsets = np.append(offsets, span)
             footprint = span + dt
-        for j, off in enumerate(offsets):
-            ts = t + off
-            if run.side is None:
-                x_lo, x_hi, y_lo, y_hi = _SAFE_BOX[run.quadrant]
-                cx, cy = (x_lo + x_hi) / 2, (y_lo + y_hi) / 2
-                ax = min(noise_px, (x_hi - x_lo) / 2)
-                ay = min(noise_px, (y_hi - y_lo) / 2)
-            else:
-                if j == 0 and active is not run.side:
-                    ox, oy = _object_for(run.side)
-                    placements.append(
-                        ObjectPlacement(
-                            t_ms=ts, obj_x_px=ox, obj_y_px=oy, aoi_w_px=AOI_W, aoi_h_px=AOI_H
-                        )
-                    )
-                    active = run.side
-                cx, cy = _object_for(run.side)
-                ax = min(noise_px, AOI_W / 2 - 15)
-                ay = min(noise_px, AOI_H / 2 - 15)
-            x = float(cx + rng.uniform(-ax, ax))
-            y = float(cy + rng.uniform(-ay, ay))
-            samples.append(GazeSample(t_ms=ts, x_px=x, y_px=y))
+        if run.side is None:
+            x_lo, x_hi, y_lo, y_hi = _SAFE_BOX[run.quadrant]
+            shapes.append(
+                ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2, (x_hi - x_lo) / 2, (y_hi - y_lo) / 2)
+            )
+        else:
+            ox, oy = _object_for(run.side)
+            if active is not run.side:
+                placements.append(ObjectPlacement(t, ox, oy, AOI_W, AOI_H))
+                active = run.side
+            shapes.append((ox, oy, AOI_W / 2 - 15, AOI_H / 2 - 15))
+        times.append(t + offsets)
         t += footprint
+    per_sample = np.repeat(np.array(shapes), list(map(len, times)), axis=0)
+    amplitudes = np.minimum(per_sample[:, 2:], noise_px)
+    jitter = rng.uniform(-amplitudes, amplitudes)
+    samples = SampleColumns._adopt(
+        np.concatenate(times), per_sample[:, 0] + jitter[:, 0], per_sample[:, 1] + jitter[:, 1]
+    )
     return samples, placements
 
 
 def _make_events(
-    duration_ms: int,
-    n_clicks: int,
-    correct_clicks: int,
-    n_answers: int,
-    correct_answers: int,
+    duration_ms: int, clicks: tuple[int, int], answers: tuple[int, int]
 ) -> tuple[GameEvent, ...]:
-    """Evenly spaced events; the incorrect ones sit at the tail slots."""
+    """Evenly spaced events from (total, correct) counts; the incorrect ones
+    sit at the tail slots."""
     events: list[GameEvent] = []
-    for kind, total, correct, phase in (
-        ("mouse_click", n_clicks, correct_clicks, 1),
-        ("answer", n_answers, correct_answers, 2),
-    ):
+    for kind, (total, correct), phase in (("mouse_click", clicks, 1), ("answer", answers, 2)):
         for i in range(total):
             t = duration_ms * (i + 1) // (total + 2) + phase
             events.append(GameEvent(t_ms=t, kind=kind, correct=i < correct))
@@ -213,21 +208,11 @@ def generate_session(profile: SynthProfile) -> LevelSession:
     if any(length < MIN_DURATION_MS for length in lengths):
         raise ProfileError(f"engagement periods under {MIN_DURATION_MS} ms would not be detected")
 
-    if profile.quadrant_dwell_ms is not None:
-        gaps = {q: max(1, round(d / dt)) for q, d in zip(Quadrant, profile.quadrant_dwell_ms)}
-        pairs = sum(gaps.values())
-    else:
-        pairs = profile.duration_ms // dt
-        if pairs < 20:
-            raise ProfileError("session too short for the sample interval")
-        sq_gaps = round(profile.target_sf_pct / 100 * pairs)
-        nsq_gaps = pairs - sq_gaps
-        gaps = {
-            Quadrant.Q1: (nsq_gaps + 1) // 2,
-            Quadrant.Q2: nsq_gaps // 2,
-            Quadrant.Q3: (sq_gaps + 1) // 2,
-            Quadrant.Q4: sq_gaps // 2,
-        }
+    pairs = profile.duration_ms // dt
+    if pairs < 20:
+        raise ProfileError("session too short for the sample interval")
+    sq_gaps = round(profile.target_sf_pct / 100 * pairs)
+    nsq_gaps = pairs - sq_gaps
     duration = pairs * dt
 
     # Engagement and glance content, alternating sides.
@@ -255,53 +240,34 @@ def generate_session(profile: SynthProfile) -> LevelSession:
         else:
             right_items.append(_Run(Quadrant.Q4, AoiLabel.RIGHT, glance_n))
 
-    if profile.quadrant_dwell_ms is not None:
-        # Ends inside Q4, so its final sample contributes no dwell gap.
-        runs = [
-            _Run(Quadrant.Q1, None, gaps[Quadrant.Q1]),
-            _Run(Quadrant.Q2, None, gaps[Quadrant.Q2]),
-            *_aoi_block(Quadrant.Q3, left_items, gaps[Quadrant.Q3], dt),
-            *_aoi_block(Quadrant.Q4, right_items, gaps[Quadrant.Q4] + 1, dt),
-        ]
-    else:
-        # Ends on a non-stimulus block so stimulus gaps equal stimulus samples.
-        runs = [
-            _Run(Quadrant.Q1, None, gaps[Quadrant.Q1]),
-            *_aoi_block(Quadrant.Q3, left_items, gaps[Quadrant.Q3], dt),
-            *_aoi_block(Quadrant.Q4, right_items, gaps[Quadrant.Q4], dt),
-            _Run(Quadrant.Q2, None, gaps[Quadrant.Q2] + 1),
-        ]
+    # Ends on a non-stimulus block so stimulus gaps equal stimulus samples.
+    runs = [
+        _Run(Quadrant.Q1, None, (nsq_gaps + 1) // 2),
+        *_aoi_block(Quadrant.Q3, left_items, (sq_gaps + 1) // 2, dt),
+        *_aoi_block(Quadrant.Q4, right_items, sq_gaps // 2, dt),
+        _Run(Quadrant.Q2, None, nsq_gaps // 2 + 1),
+    ]
 
     samples, placements = _compile(runs, dt, rng, profile.noise_px)
 
-    # Top up placements so at least n_objects appear; extras arrive after
+    # Top up placements so at least N_OBJECTS appear; extras arrive after
     # the last AoI run and never capture filler samples.
-    for i in range(max(0, profile.n_objects - len(placements))):
-        side = AoiLabel.LEFT if i % 2 == 0 else AoiLabel.RIGHT
-        ox, oy = _object_for(side)
-        placements.append(
-            ObjectPlacement(
-                t_ms=samples[-1].t_ms - i * dt - dt + 1,
-                obj_x_px=ox,
-                obj_y_px=oy,
-                aoi_w_px=AOI_W,
-                aoi_h_px=AOI_H,
-            )
-        )
+    last = int(samples.t_ms[-1])
+    for i in range(max(0, N_OBJECTS - len(placements))):
+        ox, oy = _object_for(AoiLabel.LEFT if i % 2 == 0 else AoiLabel.RIGHT)
+        placements.append(ObjectPlacement(last - i * dt - dt + 1, ox, oy, AOI_W, AOI_H))
     placements.sort(key=lambda p: p.t_ms)
 
     click_p, answer_p = profile.event_accuracy
     events = _make_events(
         duration,
-        profile.n_clicks,
-        round(click_p * profile.n_clicks),
-        profile.n_answers,
-        round(answer_p * profile.n_answers),
+        (profile.n_clicks, round(click_p * profile.n_clicks)),
+        (profile.n_answers, round(answer_p * profile.n_answers)),
     )
     return LevelSession(
         student_id=profile.student_id,
         level=profile.level,
-        samples=tuple(samples),
+        samples=samples,
         events=events,
         placements=tuple(placements),
         geometry=GEOMETRY,
@@ -480,35 +446,38 @@ def _fixture_runs(plan: _FixturePlan) -> list[_Run]:
     return runs
 
 
+_STIMULUS = np.array([q.is_stimulus for q in QUADRANT_ORDER])
+
+
 def _verify_fixture(plan: _FixturePlan, runs: list[_Run]) -> None:
-    """Label-level closure check; planner bugs fail loudly."""
-    labels: list[tuple[Quadrant, AoiLabel | None]] = []
-    for run in runs:
-        labels.extend([(run.quadrant, run.side)] * run.sample_count(plan.dt))
-    n = len(labels)
+    """Label-level closure check on per-sample int8 codes; planner bugs fail loudly."""
+    labels = [
+        (QUADRANT_ORDER.index(run.quadrant), AOI_ORDER.index(run.side or AoiLabel.OUTSIDE))
+        for run in runs
+    ]
+    counts = [run.sample_count(plan.dt) for run in runs]
+    quadrants, sides = np.repeat(np.array(labels, dtype=np.int8).reshape(-1, 2), counts, axis=0).T
+    n = len(quadrants)
     if n != plan.pairs + 1:
         raise RuntimeError(f"fixture level {plan.level}: {n} samples, wanted {plan.pairs + 1}")
-    sq = sum(1 for q, _ in labels[:-1] if q.is_stimulus)
+    sq = int(np.count_nonzero(_STIMULUS[quadrants[:-1]]))
     if sq != plan.sq_gaps:
         raise RuntimeError(
             f"fixture level {plan.level}: {sq} stimulus gaps, wanted {plan.sq_gaps}"
         )
-    cross = sum(1 for a, b in zip(labels, labels[1:]) if a[0] is not b[0])
+    cross = int(np.count_nonzero(quadrants[1:] != quadrants[:-1]))
     expected = 2 * plan.group_switches + plan.nn + plan.ss
     if cross != expected:
         raise RuntimeError(
             f"fixture level {plan.level}: {cross} transitions, wanted {expected}"
         )
-    switches = sum(
-        1
-        for a, b in zip(labels, labels[1:])
-        if a[1] is not None and b[1] is not None and a[1] is not b[1]
-    )
+    inside = sides != OUTSIDE_CODE
+    switches = int(np.count_nonzero(inside[1:] & inside[:-1] & (sides[1:] != sides[:-1])))
     if switches != plan.n_pairs:
         raise RuntimeError(
             f"fixture level {plan.level}: {switches} AoI switches, wanted {plan.n_pairs}"
         )
-    aoi = sum(1 for _, s in labels if s is not None)
+    aoi = int(np.count_nonzero(inside))
     expected_aoi = sum(c for c, _ in (*plan.periods, *plan.singles)) + 2 * plan.n_pairs
     if aoi != expected_aoi:
         raise RuntimeError(
@@ -524,18 +493,12 @@ def generate_table_fixture(student_id: str = "S10") -> SessionSet:
         _verify_fixture(plan, runs)
         rng = np.random.default_rng(plan.seed)
         samples, placements = _compile(runs, plan.dt, rng, noise_px=6.0)
-        events = _make_events(
-            samples[-1].t_ms,
-            plan.clicks[0],
-            plan.clicks[1],
-            plan.answers[0],
-            plan.answers[1],
-        )
+        events = _make_events(int(samples.t_ms[-1]), plan.clicks, plan.answers)
         sessions.append(
             LevelSession(
                 student_id=student_id,
                 level=plan.level,
-                samples=tuple(samples),
+                samples=samples,
                 events=events,
                 placements=tuple(placements),
                 geometry=GEOMETRY,

@@ -4,7 +4,9 @@ and the plot-CSV emitter.
 These are the straightforward Python loops the columnar code in
 ``gazescore`` replaced. They walk one record, one ``GazeSample``, one
 Enum label or one CSV row at a time and serve as oracles in the
-equivalence property tests. ``report_json`` is the report text as the
+equivalence property tests. ``write_level_csv`` is the session CSV
+writer that sorted one row list per file and wrote it through
+``csv.writer``. ``report_json`` is the report text as the
 ``json`` module's indent-2 encoder writes it. ``mae`` to
 ``validate_scores`` are the NumPy validation metrics the plain-float ones
 in ``gazescore.validation`` replaced.
@@ -34,6 +36,8 @@ from gazescore.ingest import (
     LevelSession,
     ObjectPlacement,
     SessionLoadError,
+    _format_coord,
+    _format_number,
     parse_coordinate_string,
 )
 from gazescore.report import _ratio, _score
@@ -366,6 +370,59 @@ def load_level_csv(
         geometry=geometry,
         dropped_samples=dropped,
     )
+
+
+def write_level_csv(session: LevelSession, path: str | Path) -> Path:
+    """Serialize a session back to the canonical CSV (LF line endings).
+
+    Reloading the written file yields an identical session, provided the
+    session is normalized (first sample at t=0) as load_level_csv output
+    always is.
+    """
+    path = Path(path)
+    rows: list[tuple[int, int, list[str]]] = []
+    for placement in session.placements:
+        rows.append(
+            (
+                placement.t_ms,
+                0,
+                [
+                    str(placement.t_ms),
+                    "",
+                    _format_coord(placement.obj_x_px, placement.obj_y_px),
+                    _format_number(placement.aoi_w_px),
+                    _format_number(placement.aoi_h_px),
+                    "",
+                    "",
+                ],
+            )
+        )
+    samples = session.samples
+    for t, x, y in zip(samples.t_ms.tolist(), samples.x_px.tolist(), samples.y_px.tolist()):
+        rows.append((t, 1, [str(t), _format_coord(x, y), "", "", "", "", ""]))
+    for event in session.events:
+        rows.append(
+            (
+                event.t_ms,
+                2,
+                [
+                    str(event.t_ms),
+                    "",
+                    "",
+                    "",
+                    "",
+                    event.kind,
+                    "true" if event.correct else "false",
+                ],
+            )
+        )
+    rows.sort(key=lambda item: (item[0], item[1]))
+    with path.open("w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for _, _, row in rows:
+            writer.writerow(row)
+    return path
 
 
 def _write_csv_atomic(path: Path, header: list[str], rows: Iterable) -> None:

@@ -12,8 +12,9 @@ import pytest
 
 from gazescore import cli
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from gazescore.ingest import CSV_HEADER
+from gazescore.ingest import CSV_HEADER, merge_levels
 from gazescore.scoring import ScoringConfig
+from gazescore.synth import SynthProfile, generate_session, write_session_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,6 +46,34 @@ class TestSynth:
 
     def test_unknown_fixture(self, tmp_path):
         assert main(["synth", "--fixture", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_flag_defaults_are_profile_defaults(self):
+        args = cli.build_parser().parse_args(["synth"])
+        profile = SynthProfile()
+        flags = {
+            "seed": profile.seed,
+            "level": profile.level,
+            "duration_ms": profile.duration_ms,
+            "sample_interval_ms": profile.sample_interval_ms,
+            "sf": profile.target_sf_pct,
+            "aoi_share": profile.target_aoi_dwell_share,
+            "periods": profile.engagement_period_lengths_ms,
+            "clicks": profile.n_clicks,
+            "answers": profile.n_answers,
+            "click_accuracy": profile.event_accuracy[0],
+            "answer_accuracy": profile.event_accuracy[1],
+            "noise": profile.noise_px,
+        }
+        assert {dest: getattr(args, dest) for dest in flags} == flags
+
+    def test_no_profile_flags_write_the_default_profile(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == EXIT_OK
+        write_session_set(merge_levels([generate_session(SynthProfile())]), tmp_path / "api")
+        got = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        assert got == ["SYNTH_level1.csv"]
+        assert (tmp_path / "cli" / got[0]).read_bytes() == (
+            tmp_path / "api" / got[0]
+        ).read_bytes()
 
 
 class TestAnalyze:

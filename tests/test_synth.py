@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from gazescore.ingest import GazeSample
 from gazescore.pipeline import analyze_session
 from gazescore.synth import (
+    N_OBJECTS,
     ProfileError,
     SynthProfile,
     generate_session,
@@ -27,18 +29,6 @@ class TestDeterminism:
 
 
 class TestGenerateSession:
-    def test_quadrant_dwell_profile_reproduces_published_focus(self):
-        profile = SynthProfile(
-            seed=1,
-            target_sf_pct=70.7,
-            quadrant_dwell_ms=(28_586, 29_096, 49_690, 89_547),
-            engagement_period_lengths_ms=(3200, 2592, 800),
-            target_aoi_dwell_share=0.1,
-        )
-        session = generate_session(profile)
-        analysis = analyze_session(session)
-        assert analysis.features.sf_pct == pytest.approx(70.7, abs=0.1)
-
     def test_single_embedded_sustained_period(self):
         profile = SynthProfile(
             seed=2,
@@ -78,9 +68,12 @@ class TestGenerateSession:
         assert len(answers) == 20 and sum(e.correct for e in answers) == 19
 
     def test_placement_floor(self):
-        profile = SynthProfile(seed=6, duration_ms=40_000, n_objects=9)
-        session = generate_session(profile)
-        assert len(session.placements) >= 9
+        """The default profile's runs place 2 objects, and the top-up adds
+        2 more, one 16 ms step apart, just before the last sample."""
+        session = generate_session(SynthProfile())
+        assert len(session.placements) == N_OBJECTS == 4
+        last = int(session.samples.t_ms[-1])
+        assert [p.t_ms for p in session.placements[2:]] == [last - 31, last - 15]
 
     def test_closure_across_seeds(self):
         for seed in range(100):
@@ -98,6 +91,16 @@ class TestGenerateSession:
             )
             assert sorted(p.duration_ms for p in analysis.periods) == [455, 900, 2600]
             assert analysis.temporal.sustained_count == 1
+
+
+def test_synth_builds_no_gaze_sample(monkeypatch):
+    """The fixture and a profile session are built as columns."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a GazeSample was built")
+
+    monkeypatch.setattr(GazeSample, "__init__", refuse)
+    assert len(generate_table_fixture()) == 3
+    assert len(generate_session(SynthProfile()).samples) == 3751
 
 
 class TestProfileErrors:
