@@ -178,30 +178,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Profile flags default to SUPPRESS: only the given ones are set, and
+    # SynthProfile supplies the rest.
+    given = {f.name: getattr(args, f.name) for f in fields(SynthProfile) if hasattr(args, f.name)}
+    if hasattr(args, "click_accuracy") or hasattr(args, "answer_accuracy"):
+        click, answer = SynthProfile.event_accuracy
+        given["event_accuracy"] = (
+            getattr(args, "click_accuracy", click), getattr(args, "answer_accuracy", answer)
+        )
     out_dir = Path(args.out)
     if args.fixture is not None:
+        if given:
+            _parser().error("synth --fixture takes no profile flags")
         if args.fixture != _FIXTURE:
             raise ProfileError(f"unknown fixture {args.fixture!r}, expected {_FIXTURE!r}")
         session_set = generate_table_fixture(student_id=args.student or "S10")
-        written = write_session_set(session_set, out_dir)
     else:
-        profile = SynthProfile(
-            seed=args.seed,
-            level=args.level,
-            duration_ms=args.duration_ms,
-            sample_interval_ms=args.sample_interval_ms,
-            target_sf_pct=args.sf,
-            target_aoi_dwell_share=args.aoi_share,
-            engagement_period_lengths_ms=args.periods,
-            event_accuracy=(args.click_accuracy, args.answer_accuracy),
-            n_clicks=args.clicks,
-            n_answers=args.answers,
-            noise_px=args.noise,
-            student_id=args.student or SynthProfile.student_id,
+        session = generate_session(
+            SynthProfile(**given, student_id=args.student or SynthProfile.student_id)
         )
-        session = generate_session(profile)
-        written = write_session_set(merge_levels([session]), out_dir)
-    for path in written:
+        session_set = SessionSet({(session.student_id, session.level): session})
+    for path in write_session_set(session_set, out_dir):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -238,29 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--out", default=None, help="also write the report document here")
     validate.set_defaults(func=cmd_validate)
 
-    synth = sub.add_parser("synth", parents=[common],
+    synth = sub.add_parser("synth", argument_default=argparse.SUPPRESS,
                            help="write synthetic session CSVs")
     synth.add_argument("--out", default="synth-out", help="output directory")
     synth.add_argument("--fixture", default=None,
-                       help=f"named fixture to generate ({_FIXTURE})")
-    profile = SynthProfile()  # the profile flags default to its fields
-    click_accuracy, answer_accuracy = profile.event_accuracy
-    synth.add_argument("--seed", type=int, default=profile.seed)
-    synth.add_argument("--level", type=int, choices=VALID_LEVELS, default=profile.level)
+                       help=f"named fixture to generate ({_FIXTURE}); takes no profile flags")
     synth.add_argument("--student", default=None)
-    synth.add_argument("--duration-ms", type=int, default=profile.duration_ms)
-    synth.add_argument("--sample-interval-ms", type=int, default=profile.sample_interval_ms)
-    synth.add_argument("--sf", type=float, default=profile.target_sf_pct,
+    # Profile flags: each given one sets its SynthProfile field.
+    synth.add_argument("--seed", type=int)
+    synth.add_argument("--level", type=int, choices=VALID_LEVELS)
+    synth.add_argument("--duration-ms", type=int)
+    synth.add_argument("--sample-interval-ms", type=int)
+    synth.add_argument("--sf", type=float, dest="target_sf_pct",
                        help="target stimulus focus percent")
-    synth.add_argument("--aoi-share", type=float, default=profile.target_aoi_dwell_share)
-    synth.add_argument("--periods", type=_period_lengths,
-                       default=profile.engagement_period_lengths_ms,
+    synth.add_argument("--aoi-share", type=float, dest="target_aoi_dwell_share")
+    synth.add_argument("--periods", type=_period_lengths, dest="engagement_period_lengths_ms",
                        help="comma-separated engagement lengths in ms")
-    synth.add_argument("--clicks", type=int, default=profile.n_clicks)
-    synth.add_argument("--answers", type=int, default=profile.n_answers)
-    synth.add_argument("--click-accuracy", type=float, default=click_accuracy)
-    synth.add_argument("--answer-accuracy", type=float, default=answer_accuracy)
-    synth.add_argument("--noise", type=float, default=profile.noise_px)
+    synth.add_argument("--clicks", type=int, dest="n_clicks")
+    synth.add_argument("--answers", type=int, dest="n_answers")
+    synth.add_argument("--click-accuracy", type=float)
+    synth.add_argument("--answer-accuracy", type=float)
+    synth.add_argument("--noise", type=float, dest="noise_px")
     synth.set_defaults(func=cmd_synth)
 
     return parser
@@ -293,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     except (SessionLoadError, DuplicateSessionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

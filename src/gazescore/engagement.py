@@ -40,25 +40,21 @@ class TemporalMetrics:
     session_duration_ms: int
 
 
-@dataclass(frozen=True, eq=False)
-class AoiRuns:
-    """The in-AoI runs of a session's AoI codes, in time order.
+# (t_first_ms, t_last_ms, code, bridge_gap_ms) of one in-AoI run; see aoi_runs.
+AoiRun = tuple[int, int, int, int | None]
 
-    A run covers consecutive samples sharing one AoI code. ``inside``
-    holds ``(t_first_ms, t_last_ms, code, bridge_gap_ms)`` for each run
-    that is not outside. ``bridge_gap_ms`` is the time from the end of
-    the previous in-AoI run to the start of this one when a single
-    outside run separates two runs of the same code, and None otherwise.
-    Runs compare by identity, as the session facts holding them do.
+
+def aoi_runs(t_ms: np.ndarray, codes: np.ndarray) -> tuple[AoiRun, ...]:
+    """The in-AoI runs of time-sorted samples (int64 times, AoI codes).
+
+    A run covers consecutive samples sharing one AoI code. Each run that
+    is not outside gives ``(t_first_ms, t_last_ms, code, bridge_gap_ms)``,
+    in time order. ``bridge_gap_ms`` is the time from the end of the
+    previous in-AoI run to the start of this one when a single outside run
+    separates two runs of the same code, and None otherwise.
     """
-
-    inside: tuple[tuple[int, int, int, int | None], ...]
-
-
-def aoi_runs(t_ms: np.ndarray, codes: np.ndarray) -> AoiRuns:
-    """Maximal same-code runs of time-sorted samples (int64 times, AoI codes)."""
     if len(t_ms) == 0:
-        return AoiRuns(())
+        return ()
     first = np.concatenate(([0], np.flatnonzero(codes[1:] != codes[:-1]) + 1))
     last = np.concatenate((first[1:] - 1, [len(t_ms) - 1]))
     t_first, t_last, run_codes = t_ms[first], t_ms[last], codes[first]
@@ -70,17 +66,17 @@ def aoi_runs(t_ms: np.ndarray, codes: np.ndarray) -> AoiRuns:
     gaps = np.zeros(len(first), dtype=np.int64)
     gaps[2:] = t_first[2:] - t_last[:-2]
     inside = np.flatnonzero(run_codes != OUTSIDE_CODE)
-    return AoiRuns(tuple(zip(
+    return tuple(zip(
         t_first[inside].tolist(),
         t_last[inside].tolist(),
         run_codes[inside].tolist(),
         [gap if bridge else None
          for gap, bridge in zip(gaps[inside].tolist(), bridged[inside].tolist())],
-    )))
+    ))
 
 
 def select_periods(
-    runs: AoiRuns,
+    runs: Sequence[AoiRun],
     min_duration_ms: int = MIN_DURATION_MS,
     sustained_ms: int = SUSTAINED_MS,
     gap_tolerance_ms: int = 0,
@@ -93,7 +89,7 @@ def select_periods(
     # At tolerance 0 nothing is bridged, not even a gap of 0 ms.
     bridging = gap_tolerance_ms > 0
     spans: list[list[int]] = []  # [start, end, code] of each candidate period
-    for t_first, t_last, code, gap in runs.inside:
+    for t_first, t_last, code, gap in runs:
         if bridging and gap is not None and gap <= gap_tolerance_ms:
             spans[-1][1] = t_last
         else:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engagement import (
-    AoiRuns,
+    AoiRun,
     EngagementPeriod,
     TemporalMetrics,
     aoi_runs,
@@ -23,11 +23,10 @@ from .scoring import (
 )
 from .spatial import classify_session
 from .transitions import (
-    AoITransitionMatrix,
     AoiMetrics,
     DwellSummary,
-    QuadrantTransitionMatrix,
     TransitionAggregates,
+    TransitionMatrix,
     aggregate_transitions,
     aoi_metrics,
     aoi_sample_share_pct,
@@ -43,23 +42,25 @@ from .validation import GamePerformance, ValidationReport, game_accuracy, valida
 class SessionFacts:
     """The part of a session's analysis that no ``ScoringConfig`` field
     changes: labels, matrices, aggregates, dwell and the sum of its shares,
-    AoI shares, AoI runs and the game tally. ``aoi_pairs`` and
-    ``aoi_changes`` are the AoI metrics with ``aoi_total_changes_only``
-    off and on. Every array in it is read-only, and facts compare by
-    identity, as ``SessionAnalysis`` does."""
+    AoI shares, AoI runs and the game tally. The labels are int8 code
+    arrays, one code per sample, in ``QUADRANT_ORDER`` and ``AOI_ORDER``
+    index order. ``aoi_pairs`` and ``aoi_changes`` are the AoI metrics
+    with ``aoi_total_changes_only`` off and on. Every array in it is
+    read-only, and facts compare by identity, as ``SessionAnalysis``
+    does."""
 
     quadrant_labels: np.ndarray
     aoi_labels: np.ndarray
-    quadrant_matrix: QuadrantTransitionMatrix
+    quadrant_matrix: TransitionMatrix
     aggregates: TransitionAggregates
-    aoi_matrix: AoITransitionMatrix
+    aoi_matrix: TransitionMatrix
     aoi_pairs: AoiMetrics
     aoi_changes: AoiMetrics
     dwell: DwellSummary
     dwell_share_sum: float | None
     focus_aoi_pct: float
     aoi_time_share_pct: float
-    runs: AoiRuns
+    runs: tuple[AoiRun, ...]
     game: GamePerformance
 
 
@@ -108,14 +109,12 @@ def session_facts(session: LevelSession) -> SessionFacts:
 
 
 @dataclass(frozen=True, eq=False)
-class SessionAnalysis:
-    """Everything derived from one level session.
-
-    The labels are read-only int8 code arrays, one code per sample, in
-    ``QUADRANT_ORDER`` and ``AOI_ORDER`` index order. Labels, matrices,
-    aggregates, dwell and game tally are shared with every other analysis
-    of the same session object (see ``session_facts``), and all of them
-    are read-only.
+class SessionAnalysis(SessionFacts):
+    """Everything derived from one level session: its ``SessionFacts``,
+    shared as the same objects with every other analysis of the same
+    session object (see ``session_facts``), plus the fields that depend on
+    the ``ScoringConfig``. ``aoi`` is ``aoi_changes`` when
+    ``aoi_total_changes_only`` is on and ``aoi_pairs`` when it is off.
 
     Analyses compare and hash by identity: field-wise equality over the
     label arrays has no truth value. Compare fields (or report bytes)
@@ -123,19 +122,12 @@ class SessionAnalysis:
     """
 
     session: LevelSession
-    quadrant_labels: np.ndarray
-    aoi_labels: np.ndarray
-    quadrant_matrix: QuadrantTransitionMatrix
-    aggregates: TransitionAggregates
-    aoi_matrix: AoITransitionMatrix
     aoi: AoiMetrics
-    dwell: DwellSummary
     periods: tuple[EngagementPeriod, ...]
     temporal: TemporalMetrics
     features: LevelFeatures
     breakdown: ScoreBreakdown
     violations: tuple[str, ...]
-    game: GamePerformance
 
 
 def analyze_session(
@@ -173,20 +165,14 @@ def analyze_session(
     violations = check_constraints(breakdown, facts.dwell_share_sum, config)
 
     return SessionAnalysis(
+        **vars(facts),
         session=session,
-        quadrant_labels=facts.quadrant_labels,
-        aoi_labels=facts.aoi_labels,
-        quadrant_matrix=facts.quadrant_matrix,
-        aggregates=facts.aggregates,
-        aoi_matrix=facts.aoi_matrix,
         aoi=aoi_stats,
-        dwell=facts.dwell,
         periods=tuple(periods),
         temporal=temporal,
         features=features,
         breakdown=breakdown,
         violations=tuple(violations),
-        game=facts.game,
     )
 
 

@@ -14,7 +14,7 @@ from typing import Sequence, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .ingest import GazeSample, LevelSession, ObjectPlacement, SampleColumns
+    from .ingest import GazeSample, LevelSession, SampleColumns
 
 
 class Quadrant(Enum):
@@ -67,36 +67,6 @@ class ScreenGeometry:
             )
 
 
-@dataclass(frozen=True)
-class AoiRect:
-    """Axis-aligned AoI rectangle, closed on all edges."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def contains(self, x, y):
-        """Membership of a point, or elementwise for array fields/points."""
-        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
-
-
-def aoi_bounds(placement: ObjectPlacement) -> AoiRect:
-    """Rectangle centered on the object, half extents w/2 and h/2.
-
-    No clipping to the screen is applied; the rectangle may extend past
-    the screen edges.
-    """
-    half_w = placement.aoi_w_px / 2
-    half_h = placement.aoi_h_px / 2
-    return AoiRect(
-        x_min=placement.obj_x_px - half_w,
-        x_max=placement.obj_x_px + half_w,
-        y_min=placement.obj_y_px - half_h,
-        y_max=placement.obj_y_px + half_h,
-    )
-
-
 def read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` that cannot be made writeable again.
 
@@ -131,9 +101,10 @@ def classify_session(session: LevelSession) -> tuple[np.ndarray, np.ndarray]:
     Quadrants split the screen at its center (y above H/2 in the
     y-up frame is the upper menu half). A sample's AoI is judged against
     the most recent placement with t_ms <= its time (step function over
-    time-sorted placements); the side comes from the object's horizontal
-    position, not the gaze point's. With no active placement a sample is
-    outside.
+    time-sorted placements): a rectangle centred on the object with half
+    extents w/2 and h/2, closed on all edges and not clipped to the
+    screen. The side comes from the object's horizontal position, not the
+    gaze point's. With no active placement a sample is outside.
     """
     samples = session.samples
     t, x, y = samples.t_ms, samples.x_px, samples.y_px
@@ -145,14 +116,19 @@ def classify_session(session: LevelSession) -> tuple[np.ndarray, np.ndarray]:
     placements = session.placements
     if placements:
         times = np.array([p.t_ms for p in placements], dtype=np.int64)
-        rects = [aoi_bounds(p) for p in placements]
-        bounds = np.array([[r.x_min, r.x_max, r.y_min, r.y_max] for r in rects]).T.copy()
-        sides = np.array(
-            [LEFT_CODE if p.obj_x_px < w / 2 else RIGHT_CODE for p in placements],
-            dtype=np.int8,
-        )
+        obj_x, obj_y, aoi_w, aoi_h = np.array(
+            [(p.obj_x_px, p.obj_y_px, p.aoi_w_px, p.aoi_h_px) for p in placements],
+            dtype=np.float64,
+        ).T
+        x_min, x_max = obj_x - aoi_w / 2, obj_x + aoi_w / 2
+        y_min, y_max = obj_y - aoi_h / 2, obj_y + aoi_h / 2
+        sides = np.where(obj_x < w / 2, LEFT_CODE, RIGHT_CODE).astype(np.int8)
         active = np.searchsorted(times, t, side="right") - 1
-        inside = (active >= 0) & AoiRect(*bounds.take(active, axis=1)).contains(x, y)
+        inside = (
+            (active >= 0)
+            & (x_min[active] <= x) & (x <= x_max[active])
+            & (y_min[active] <= y) & (y <= y_max[active])
+        )
         aois = np.where(inside, sides[active], OUTSIDE_CODE).astype(np.int8)
     else:
         aois = np.full(len(t), OUTSIDE_CODE, dtype=np.int8)

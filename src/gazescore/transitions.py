@@ -27,28 +27,16 @@ Labels = Sequence[Quadrant] | Sequence[AoiLabel] | np.ndarray
 Samples = Sequence[GazeSample] | SampleColumns | np.ndarray
 
 
-def _read_only_counts(matrix) -> None:
-    object.__setattr__(matrix, "counts", read_only(np.array(matrix.counts, dtype=np.int64)))
-
-
 # Matrices compare by identity (== over arrays has no truth value).
 @dataclass(frozen=True, eq=False)
-class QuadrantTransitionMatrix:
-    """4x4 counts indexed (from, to) in Q1..Q4 order; stored as a read-only copy."""
+class TransitionMatrix:
+    """Counts indexed (from, to) in label-order index order: 4x4 over
+    quadrants, 3x3 over AoIs. Stored as a read-only int64 copy."""
 
     counts: np.ndarray
 
-    __post_init__ = _read_only_counts
-
-
-@dataclass(frozen=True, eq=False)
-class AoITransitionMatrix:
-    """3x3 counts indexed (from, to) in left/right/outside order; stored as a
-    read-only copy."""
-
-    counts: np.ndarray
-
-    __post_init__ = _read_only_counts
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", read_only(np.array(self.counts, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -92,16 +80,16 @@ def _pair_matrix(labels: Labels, order: tuple) -> np.ndarray:
     return np.bincount(codes[:-1] * k + codes[1:], minlength=k * k).reshape(k, k)
 
 
-def build_quadrant_matrix(labels: Labels) -> QuadrantTransitionMatrix:
+def build_quadrant_matrix(labels: Labels) -> TransitionMatrix:
     """Count consecutive quadrant pairs; empty/singleton input gives zeros."""
-    return QuadrantTransitionMatrix(_pair_matrix(labels, QUADRANT_ORDER))
+    return TransitionMatrix(_pair_matrix(labels, QUADRANT_ORDER))
 
 
-def build_aoi_matrix(labels: Labels) -> AoITransitionMatrix:
-    return AoITransitionMatrix(_pair_matrix(labels, AOI_ORDER))
+def build_aoi_matrix(labels: Labels) -> TransitionMatrix:
+    return TransitionMatrix(_pair_matrix(labels, AOI_ORDER))
 
 
-def aggregate_transitions(matrix: QuadrantTransitionMatrix) -> TransitionAggregates:
+def aggregate_transitions(matrix: TransitionMatrix) -> TransitionAggregates:
     """Group the cross-quadrant cells; diagonal cells count nowhere.
 
     nsq_to_sq sums the four {Q1,Q2} -> {Q3,Q4} cells, sq_to_nsq the
@@ -122,7 +110,7 @@ def aggregate_transitions(matrix: QuadrantTransitionMatrix) -> TransitionAggrega
     )
 
 
-def aoi_metrics(matrix: AoITransitionMatrix, changes_only: bool = False) -> AoiMetrics:
+def aoi_metrics(matrix: TransitionMatrix, changes_only: bool = False) -> AoiMetrics:
     """Left/right switching metrics from the AoI matrix.
 
     ``changes_only`` narrows the total-mass denominator to label-change

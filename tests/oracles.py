@@ -47,7 +47,6 @@ from gazescore.spatial import (
     AoiLabel,
     Quadrant,
     ScreenGeometry,
-    aoi_bounds,
 )
 from gazescore.transitions import DwellSummary
 from gazescore.validation import ValidationReport
@@ -70,8 +69,12 @@ def classify_aoi(
 ) -> AoiLabel:
     if placement is None:
         return AoiLabel.OUTSIDE
-    rect = aoi_bounds(placement)
-    if not (rect.x_min <= x <= rect.x_max and rect.y_min <= y <= rect.y_max):
+    half_w = placement.aoi_w_px / 2
+    half_h = placement.aoi_h_px / 2
+    if not (
+        placement.obj_x_px - half_w <= x <= placement.obj_x_px + half_w
+        and placement.obj_y_px - half_h <= y <= placement.obj_y_px + half_h
+    ):
         return AoiLabel.OUTSIDE
     if placement.obj_x_px < geometry.width_px / 2:
         return AoiLabel.LEFT

@@ -47,24 +47,26 @@ class TestSynth:
     def test_unknown_fixture(self, tmp_path):
         assert main(["synth", "--fixture", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_flag_defaults_are_profile_defaults(self):
-        args = cli.build_parser().parse_args(["synth"])
-        profile = SynthProfile()
-        flags = {
-            "seed": profile.seed,
-            "level": profile.level,
-            "duration_ms": profile.duration_ms,
-            "sample_interval_ms": profile.sample_interval_ms,
-            "sf": profile.target_sf_pct,
-            "aoi_share": profile.target_aoi_dwell_share,
-            "periods": profile.engagement_period_lengths_ms,
-            "clicks": profile.n_clicks,
-            "answers": profile.n_answers,
-            "click_accuracy": profile.event_accuracy[0],
-            "answer_accuracy": profile.event_accuracy[1],
-            "noise": profile.noise_px,
-        }
-        assert {dest: getattr(args, dest) for dest in flags} == flags
+    def test_parser_sets_no_profile_field(self):
+        """Profile flags are set only when given; SynthProfile holds the defaults."""
+        args = vars(cli.build_parser().parse_args(["synth"]))
+        profile_dests = {f.name for f in fields(SynthProfile)} | {"click_accuracy",
+                                                                  "answer_accuracy"}
+        assert not profile_dests & args.keys()
+
+    def test_given_flags_set_only_their_fields(self, tmp_path):
+        assert main(["synth", "--click-accuracy", "0.5", "--sf", "65", "--level", "3",
+                     "--out", str(tmp_path / "cli")]) == EXIT_OK
+        profile = SynthProfile(event_accuracy=(0.5, 0.9), target_sf_pct=65.0, level=3)
+        write_session_set(merge_levels([generate_session(profile)]), tmp_path / "api")
+        name = "SYNTH_level3.csv"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+    def test_profile_run_logs_no_warning(self, tmp_path, caplog):
+        """One generated level is not a partial analysis input."""
+        with caplog.at_level(logging.WARNING):
+            assert main(["synth", "--level", "2", "--out", str(tmp_path)]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_no_profile_flags_write_the_default_profile(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "cli")]) == EXIT_OK
@@ -452,7 +454,9 @@ def test_failure_class_exit_codes(tmp_path, case, code):
     "flags,code",
     [(["--periods", "abc"], 2), (["--periods", "3000,2.5"], 2), (["--noise", "nan"], EXIT_CONFIG),
      (["--noise", "inf"], EXIT_CONFIG), (["--seed", "-1"], EXIT_CONFIG),
-     (["--clicks", "-1"], EXIT_CONFIG), (["--answers", "-3"], EXIT_CONFIG)],
+     (["--clicks", "-1"], EXIT_CONFIG), (["--answers", "-3"], EXIT_CONFIG),
+     (["--fixture", "case-study", "--level", "2", "--seed", "9", "--noise", "0"], 2),
+     (["--width", "800", "--height", "600", "--y-up", "--config", "/nonexistent.json"], 2)],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
 def test_synth_failure_exit_codes(tmp_path, flags, code):

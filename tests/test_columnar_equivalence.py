@@ -196,11 +196,11 @@ def test_runs_keep_in_aoi_runs_with_their_bridge_gaps():
     times = np.arange(0, 1100, 100, dtype=np.int64)
     # Only the left run after two outside samples, and the right run after
     # one, follow an outside run that has the same side before it.
-    assert aoi_runs(times, codes).inside == (
+    assert aoi_runs(times, codes) == (
         (100, 200, left, None),
         (500, 500, left, 300),
         (600, 600, right, None),
         (800, 800, right, 200),
         (1000, 1000, left, None),
     )
-    assert aoi_runs(times[:0], codes[:0]).inside == ()
+    assert aoi_runs(times[:0], codes[:0]) == ()

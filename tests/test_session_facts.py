@@ -25,7 +25,7 @@ from gazescore.report import build_report
 from gazescore.scoring import ETA_SOURCES, ScoringConfig
 from gazescore.spatial import OUTSIDE_CODE, Quadrant
 from gazescore.synth import generate_table_fixture
-from gazescore.transitions import AoITransitionMatrix, DwellSummary, QuadrantTransitionMatrix
+from gazescore.transitions import DwellSummary, TransitionMatrix
 from test_columnar_equivalence import MIN_DURATIONS, TOLERANCES, gap_lists, sessions
 
 # The 16 paper configs of the rescore benchmark.
@@ -97,7 +97,7 @@ def _assert_same_analysis(got: SessionAnalysis, want: SessionAnalysis) -> None:
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-        elif isinstance(a, (QuadrantTransitionMatrix, AoITransitionMatrix)):
+        elif isinstance(a, TransitionMatrix):
             assert np.array_equal(a.counts, b.counts), f.name
         else:
             assert a == b, f.name
@@ -154,6 +154,15 @@ def test_aoi_metrics_computed_with_the_facts(session, monkeypatch):
     assert sorted(calls) == [False, True]
 
 
+def test_analyses_hold_the_shared_facts(session):
+    """Every fact of an analysis is the very object the session's facts hold."""
+    facts = pipeline.session_facts(session)
+    for config in (ScoringConfig(), ScoringConfig(aoi_total_changes_only=True, tau_min_ms=300)):
+        analysis = analyze_session(session, config)
+        for f in dataclasses.fields(pipeline.SessionFacts):
+            assert getattr(analysis, f.name) is getattr(facts, f.name), f.name
+
+
 def test_replace_gets_fresh_facts(session):
     placed = analyze_session(session)
     assert np.any(placed.aoi_labels != OUTSIDE_CODE)
@@ -181,7 +190,7 @@ def test_analyses_compare_by_identity(session):
 
 
 def test_array_holding_results_compare_by_identity(session):
-    """Matrices, runs and facts hold arrays, so they compare by identity too."""
+    """Matrices and facts hold arrays, so they compare by identity too."""
     twin = dataclasses.replace(session)
     analysis, other = analyze_session(session), analyze_session(twin)
     facts, other_facts = pipeline.session_facts(session), pipeline.session_facts(twin)
@@ -189,7 +198,6 @@ def test_array_holding_results_compare_by_identity(session):
         (analysis.quadrant_matrix, other.quadrant_matrix),
         (analysis.aoi_matrix, other.aoi_matrix),
         (facts, other_facts),
-        (facts.runs, other_facts.runs),
     ]
     for value, equal_twin in pairs:
         assert value == value and value != equal_twin
@@ -224,7 +232,7 @@ def test_read_only_arrays_cannot_be_made_writeable(session):
 def test_read_only_results_copy_their_inputs():
     counts = np.zeros((4, 4), dtype=np.int64)
     time_in = dict.fromkeys(Quadrant, 0)
-    matrix = QuadrantTransitionMatrix(counts)
+    matrix = TransitionMatrix(counts)
     dwell = DwellSummary(time_in_quadrant=time_in, session_duration_ms=0, stimuli_focus_pct=0.0)
     counts[0, 0] = 1
     time_in[Quadrant.Q1] = 1

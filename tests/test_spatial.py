@@ -13,7 +13,6 @@ from gazescore.spatial import (
     AoiLabel,
     Quadrant,
     ScreenGeometry,
-    aoi_bounds,
     classify_session,
 )
 from oracles import active_placement
@@ -112,22 +111,34 @@ def test_screen_size_must_be_positive_and_finite(width, height):
 
 
 class TestAoiBounds:
+    """The AoI rectangle, seen through the session kernel."""
+
+    PLACED = ObjectPlacement(0, 400, 300, 200, 150)
+
     def test_basic_rectangle(self):
-        rect = aoi_bounds(ObjectPlacement(0, 400, 300, 200, 150))
-        assert (rect.x_min, rect.x_max, rect.y_min, rect.y_max) == (300, 500, 225, 375)
+        # Centred on (400, 300) with half extents 100 and 75.
+        for x in (300, 500):
+            for y in (225, 375):
+                assert classify_aoi(x, y, self.PLACED, GEO_SCREEN) is AoiLabel.LEFT
+        beyond = [(math.nextafter(300, -math.inf), 300), (math.nextafter(500, math.inf), 300),
+                  (400, math.nextafter(225, -math.inf)), (400, math.nextafter(375, math.inf))]
+        for x, y in beyond:
+            assert classify_aoi(x, y, self.PLACED, GEO_SCREEN) is AoiLabel.OUTSIDE
 
     def test_zero_width_rejected_at_construction(self):
         with pytest.raises(ValueError):
             ObjectPlacement(0, 400, 300, 0, 150)
 
     def test_no_clipping_at_screen_edge(self):
-        rect = aoi_bounds(ObjectPlacement(0, 0, 0, 100, 100))
-        assert (rect.x_min, rect.x_max, rect.y_min, rect.y_max) == (-50, 50, -50, 50)
+        placed = ObjectPlacement(0, 0, 0, 100, 100)
+        assert classify_aoi(-50, -50, placed, GEO_SCREEN) is AoiLabel.LEFT
+        assert classify_aoi(50, 50, placed, GEO_SCREEN) is AoiLabel.LEFT
+        assert classify_aoi(-50.001, 0, placed, GEO_SCREEN) is AoiLabel.OUTSIDE
 
     def test_closed_edges(self):
-        rect = aoi_bounds(ObjectPlacement(0, 400, 300, 200, 150))
-        assert rect.contains(300, 225) and rect.contains(500, 375)
-        assert not rect.contains(299.999, 225)
+        assert classify_aoi(300, 225, self.PLACED, GEO_SCREEN) is AoiLabel.LEFT
+        assert classify_aoi(500, 375, self.PLACED, GEO_SCREEN) is AoiLabel.LEFT
+        assert classify_aoi(299.999, 225, self.PLACED, GEO_SCREEN) is AoiLabel.OUTSIDE
 
 
 class TestClassifyAoi:
