@@ -92,23 +92,24 @@ def _discover_sessions(
 ) -> SessionSet:
     if not in_dir.is_dir():
         raise FileNotFoundError(f"input directory not found: {in_dir}")
-    sessions = []
-    for path in sorted(in_dir.iterdir()):
-        match = _SESSION_FILE_RE.match(path.name)
-        if not match:
-            continue
-        sid = match.group("student")
-        lvl = int(match.group("level"))
-        if student is not None and sid != student:
-            continue
-        if level is not None and lvl != level:
-            continue
-        sessions.append(load_level_csv(path, lvl, sid, geometry))
-    if not sessions:
+    found = [
+        (path, match.group("student"), int(match.group("level")))
+        for path in sorted(in_dir.iterdir())
+        if (match := _SESSION_FILE_RE.match(path.name))
+    ]
+    if not found:
         raise FileNotFoundError(
             f"no session files matching '<student>_level<{_LEVEL_NAMES}>.csv' in {in_dir}"
         )
-    return merge_levels(sessions)
+    # Session files exist: name the filter that left none of them.
+    applied = []
+    for flag, wanted, column in (("--student", student, 1), ("--level", level, 2)):
+        if wanted is not None:
+            applied.append(f"{flag} {wanted}")
+            found = [entry for entry in found if entry[column] == wanted]
+            if not found:
+                raise FileNotFoundError(f"no session files for {' '.join(applied)} in {in_dir}")
+    return merge_levels([load_level_csv(path, lvl, sid, geometry) for path, sid, lvl in found])
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

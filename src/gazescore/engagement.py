@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, label_codes
+from .spatial import AOI_ORDER, OUTSIDE_CODE, AoiLabel, _adopt, label_codes
 
 MIN_DURATION_MS = 400
 SUSTAINED_MS = 2500
@@ -139,11 +139,11 @@ def temporal_metrics(
     total = sum(p.duration_ms for p in periods)
     count = len(periods)
     sustained = sum(1 for p in periods if p.sustained)
-    return TemporalMetrics(
+    return _adopt(TemporalMetrics, dict(
         eta_temporal=total / session_duration_ms if session_duration_ms > 0 else 0.0,
         mu_engagement_ms=total / count if count else 0.0,
         sigma_sustained=sustained / count if count else 0.0,
         period_count=count,
         sustained_count=sustained,
         session_duration_ms=session_duration_ms,
-    )
+    ))

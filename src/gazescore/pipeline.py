@@ -21,7 +21,7 @@ from .scoring import (
     check_constraints,
     final_score,
 )
-from .spatial import classify_session
+from .spatial import _adopt, classify_session
 from .transitions import (
     AoiMetrics,
     DwellSummary,
@@ -64,6 +64,23 @@ class SessionFacts:
     game: GamePerformance
 
 
+def _feature_fields(session, facts, aoi_stats, temporal) -> dict:
+    """The ``LevelFeatures`` fields of a session under one AoI switch value."""
+    return dict(
+        level=session.level,
+        nsq_to_sq=facts.aggregates.nsq_to_sq,
+        sq_to_nsq=facts.aggregates.sq_to_nsq,
+        focus_aoi_pct=facts.focus_aoi_pct,
+        interactions=len(session.events),
+        aoi_transitions=aoi_stats.aoi_total,
+        aoi_switches=aoi_stats.left_right_transitions,
+        aoi_efficiency=aoi_stats.efficiency,
+        sf_pct=facts.dwell.stimuli_focus_pct,
+        temporal=temporal,
+        aoi_time_share_pct=facts.aoi_time_share_pct,
+    )
+
+
 # Attribute of a LevelSession instance that holds its SessionFacts. It is
 # not a dataclass field, so ==, repr and dataclasses.replace ignore it and
 # a replaced session starts without facts.
@@ -103,6 +120,8 @@ def session_facts(session: LevelSession) -> SessionFacts:
             runs=aoi_runs(t, aois),
             game=game_accuracy(session.events),
         )
+        for aoi_stats in (facts.aoi_pairs, facts.aoi_changes):  # LevelFeatures checks, once
+            LevelFeatures(**_feature_fields(session, facts, aoi_stats, None))
         # Write once: a concurrent first call keeps the facts stored first.
         facts = memo.setdefault(_FACTS_ATTR, facts)
     return facts
@@ -148,24 +167,12 @@ def analyze_session(
     )
     temporal = temporal_metrics(periods, facts.dwell.session_duration_ms)
 
-    features = LevelFeatures(
-        level=session.level,
-        nsq_to_sq=facts.aggregates.nsq_to_sq,
-        sq_to_nsq=facts.aggregates.sq_to_nsq,
-        focus_aoi_pct=facts.focus_aoi_pct,
-        interactions=len(session.events),
-        aoi_transitions=aoi_stats.aoi_total,
-        aoi_switches=aoi_stats.left_right_transitions,
-        aoi_efficiency=aoi_stats.efficiency,
-        sf_pct=facts.dwell.stimuli_focus_pct,
-        temporal=temporal,
-        aoi_time_share_pct=facts.aoi_time_share_pct,
-    )
+    features = _adopt(LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal))
     breakdown = final_score(features, config)
     violations = check_constraints(breakdown, facts.dwell_share_sum, config)
 
-    return SessionAnalysis(
-        **vars(facts),
+    return _adopt(SessionAnalysis, dict(
+        vars(facts),
         session=session,
         aoi=aoi_stats,
         periods=tuple(periods),
@@ -173,7 +180,7 @@ def analyze_session(
         features=features,
         breakdown=breakdown,
         violations=tuple(violations),
-    )
+    ))
 
 
 def analyze_student(

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pipeline import SessionAnalysis
+from .pipeline import AoiMetrics, SessionAnalysis
 from .validation import ValidationReport, classify_assessment
 from .scoring import ScoringConfig
 from .spatial import AOI_ORDER, QUADRANT_ORDER
@@ -43,6 +43,27 @@ def _ratio(value: float | None) -> float | None:
     return None if value is None else round(float(value), 4)
 
 
+def _transition_leaves(analysis: SessionAnalysis, aoi: AoiMetrics) -> dict:
+    return {
+        "nsq_to_sq": analysis.aggregates.nsq_to_sq,
+        "sq_to_nsq": analysis.aggregates.sq_to_nsq,
+        "nsq_to_nsq": analysis.aggregates.nsq_to_nsq,
+        "sq_to_sq": analysis.aggregates.sq_to_sq,
+        "total": analysis.aggregates.total,
+        "aoi_switches": aoi.left_right_transitions,
+        "aoi_balance": _ratio(aoi.balance),
+        "aoi_efficiency": _ratio(aoi.efficiency),
+        "fixations_left": aoi.fixations_left,
+        "fixations_right": aoi.fixations_right,
+        # time_in_quadrant is in QUADRANT_ORDER (DwellSummary).
+        "dwell_ms": dict(zip(_QUADRANT_NAMES, analysis.dwell.time_in_quadrant.values())),
+        "session_duration_ms": analysis.dwell.session_duration_ms,
+        "stimuli_focus_pct": _pct(analysis.dwell.stimuli_focus_pct),
+        "focus_aoi_pct": _pct(analysis.focus_aoi_pct),
+        "aoi_time_share_pct": _pct(analysis.aoi_time_share_pct),
+    }
+
+
 def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
     b = analysis.breakdown
     game = analysis.game
@@ -50,6 +71,21 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
         abs(b.final_score - game.accuracy_pct) if game.accuracy_pct is not None else None
     )
     category, calibration = classify_assessment(b.final_score, diff, config)
+    # Built once per session: transitions leaves (AoI switch off, on) and game.
+    memo = vars(analysis.session)
+    leaves = memo.get("_report_leaves") or memo.setdefault("_report_leaves", (
+        _transition_leaves(analysis, analysis.aoi_pairs),
+        _transition_leaves(analysis, analysis.aoi_changes),
+        None if game.total_events == 0 else {
+            "correct_clicks": game.correct_clicks,
+            "total_clicks": game.total_clicks,
+            "correct_answers": game.correct_answers,
+            "total_answers": game.total_answers,
+            "total_events": game.total_events,
+            "accuracy_pct": _pct(game.accuracy_pct),
+        },
+    ))
+    transitions = leaves[analysis.aoi is analysis.aoi_changes]
     return {
         "level": analysis.session.level,
         "score": {
@@ -69,22 +105,8 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
             "quadrant_counts": analysis.quadrant_matrix.counts.tolist(),
             "aoi_order": list(_AOI_NAMES),
             "aoi_counts": analysis.aoi_matrix.counts.tolist(),
-            "nsq_to_sq": analysis.aggregates.nsq_to_sq,
-            "sq_to_nsq": analysis.aggregates.sq_to_nsq,
-            "nsq_to_nsq": analysis.aggregates.nsq_to_nsq,
-            "sq_to_sq": analysis.aggregates.sq_to_sq,
-            "total": analysis.aggregates.total,
-            "aoi_switches": analysis.aoi.left_right_transitions,
-            "aoi_balance": _ratio(analysis.aoi.balance),
-            "aoi_efficiency": _ratio(analysis.aoi.efficiency),
-            "fixations_left": analysis.aoi.fixations_left,
-            "fixations_right": analysis.aoi.fixations_right,
-            # time_in_quadrant is in QUADRANT_ORDER (DwellSummary).
-            "dwell_ms": dict(zip(_QUADRANT_NAMES, analysis.dwell.time_in_quadrant.values())),
-            "session_duration_ms": analysis.dwell.session_duration_ms,
-            "stimuli_focus_pct": _pct(analysis.dwell.stimuli_focus_pct),
-            "focus_aoi_pct": _pct(analysis.features.focus_aoi_pct),
-            "aoi_time_share_pct": _pct(analysis.features.aoi_time_share_pct),
+            **transitions,  # with a fresh dwell_ms, as every container is
+            "dwell_ms": dict(transitions["dwell_ms"]),
         },
         "temporal": {
             "eta_temporal": _ratio(analysis.temporal.eta_temporal),
@@ -93,18 +115,7 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
             "period_count": analysis.temporal.period_count,
             "sustained_count": analysis.temporal.sustained_count,
         },
-        "game": (
-            None
-            if game.total_events == 0
-            else {
-                "correct_clicks": game.correct_clicks,
-                "total_clicks": game.total_clicks,
-                "correct_answers": game.correct_answers,
-                "total_answers": game.total_answers,
-                "total_events": game.total_events,
-                "accuracy_pct": _pct(game.accuracy_pct),
-            }
-        ),
+        "game": leaves[2] and dict(leaves[2]),
         "assessment": {
             "performance": category.value,
             "calibration": calibration.value if calibration is not None else None,

@@ -31,6 +31,7 @@ from typing import Mapping
 
 from .engagement import MIN_DURATION_MS, SUSTAINED_MS, TemporalMetrics
 from .ingest import VALID_LEVELS
+from .spatial import _adopt
 
 FOCUS_THRESHOLD = {1: 25.0, 2: 40.0, 3: 50.0}
 FOCUS_WEIGHT = {1: 0.4, 2: 0.6, 3: 0.75}
@@ -324,7 +325,7 @@ def final_score(
     impact = max(-cap, min(cap, engagement + focus + sustained + duration - excess))
     multiplier = temporal_multiplier(s_base)
     final = max(0.0, min(100.0, s_base + multiplier * impact))
-    return ScoreBreakdown(
+    return _adopt(ScoreBreakdown, dict(
         level=features.level,
         base_score=s_base,
         level_bonus=bonus,
@@ -336,7 +337,7 @@ def final_score(
         temporal_impact=impact,
         multiplier=multiplier,
         final_score=final,
-    )
+    ))
 
 
 def check_constraints(

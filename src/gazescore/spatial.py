@@ -78,6 +78,13 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
+def _adopt(cls, fields: dict):
+    """A ``cls`` record holding ``fields``, made without ``__init__`` or its checks."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
+
+
 def label_codes(labels: Sequence[Enum] | np.ndarray, order: tuple[Enum, ...]) -> np.ndarray:
     """Label codes (index into ``order``) from Enum labels; arrays pass through."""
     if isinstance(labels, np.ndarray):

@@ -25,7 +25,7 @@ from .ingest import (
     merge_levels,
     write_level_csv,
 )
-from .spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel, Quadrant, ScreenGeometry
+from .spatial import AoiLabel, Quadrant, ScreenGeometry
 
 GEOMETRY = ScreenGeometry()
 
@@ -446,53 +446,12 @@ def _fixture_runs(plan: _FixturePlan) -> list[_Run]:
     return runs
 
 
-_STIMULUS = np.array([q.is_stimulus for q in QUADRANT_ORDER])
-
-
-def _verify_fixture(plan: _FixturePlan, runs: list[_Run]) -> None:
-    """Label-level closure check on per-sample int8 codes; planner bugs fail loudly."""
-    labels = [
-        (QUADRANT_ORDER.index(run.quadrant), AOI_ORDER.index(run.side or AoiLabel.OUTSIDE))
-        for run in runs
-    ]
-    counts = [run.sample_count(plan.dt) for run in runs]
-    quadrants, sides = np.repeat(np.array(labels, dtype=np.int8).reshape(-1, 2), counts, axis=0).T
-    n = len(quadrants)
-    if n != plan.pairs + 1:
-        raise RuntimeError(f"fixture level {plan.level}: {n} samples, wanted {plan.pairs + 1}")
-    sq = int(np.count_nonzero(_STIMULUS[quadrants[:-1]]))
-    if sq != plan.sq_gaps:
-        raise RuntimeError(
-            f"fixture level {plan.level}: {sq} stimulus gaps, wanted {plan.sq_gaps}"
-        )
-    cross = int(np.count_nonzero(quadrants[1:] != quadrants[:-1]))
-    expected = 2 * plan.group_switches + plan.nn + plan.ss
-    if cross != expected:
-        raise RuntimeError(
-            f"fixture level {plan.level}: {cross} transitions, wanted {expected}"
-        )
-    inside = sides != OUTSIDE_CODE
-    switches = int(np.count_nonzero(inside[1:] & inside[:-1] & (sides[1:] != sides[:-1])))
-    if switches != plan.n_pairs:
-        raise RuntimeError(
-            f"fixture level {plan.level}: {switches} AoI switches, wanted {plan.n_pairs}"
-        )
-    aoi = int(np.count_nonzero(inside))
-    expected_aoi = sum(c for c, _ in (*plan.periods, *plan.singles)) + 2 * plan.n_pairs
-    if aoi != expected_aoi:
-        raise RuntimeError(
-            f"fixture level {plan.level}: {aoi} AoI samples, wanted {expected_aoi}"
-        )
-
-
 def generate_table_fixture(student_id: str = "S10") -> SessionSet:
     """Three-level case-study fixture with table-exact derived statistics."""
     sessions = []
     for plan in _FIXTURE_PLANS:
-        runs = _fixture_runs(plan)
-        _verify_fixture(plan, runs)
         rng = np.random.default_rng(plan.seed)
-        samples, placements = _compile(runs, plan.dt, rng, noise_px=6.0)
+        samples, placements = _compile(_fixture_runs(plan), plan.dt, rng, noise_px=6.0)
         events = _make_events(int(samples.t_ms[-1]), plan.clicks, plan.answers)
         sessions.append(
             LevelSession(

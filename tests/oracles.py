@@ -7,7 +7,10 @@ Enum label or one CSV row at a time and serve as oracles in the
 equivalence property tests. ``write_level_csv`` is the session CSV
 writer that sorted one row list per file and wrote it through
 ``csv.writer``. ``report_json`` is the report text as the
-``json`` module's indent-2 encoder writes it. ``mae`` to
+``json`` module's indent-2 encoder writes it. ``level_block`` builds a
+report level block from the analysis alone on every call, as
+``build_report`` did before it kept a session's config-independent
+leaves. ``mae`` to
 ``validate_scores`` are the NumPy validation metrics the plain-float ones
 in ``gazescore.validation`` replaced.
 """
@@ -40,7 +43,7 @@ from gazescore.ingest import (
     _format_number,
     parse_coordinate_string,
 )
-from gazescore.report import _ratio, _score
+from gazescore.report import _pct, _ratio, _score
 from gazescore.spatial import (
     AOI_ORDER,
     QUADRANT_ORDER,
@@ -49,7 +52,7 @@ from gazescore.spatial import (
     ScreenGeometry,
 )
 from gazescore.transitions import DwellSummary
-from gazescore.validation import ValidationReport
+from gazescore.validation import ValidationReport, classify_assessment
 
 _QUADRANT_INDEX = {q: i for i, q in enumerate(Quadrant)}
 _AOI_INDEX = {a: i for i, a in enumerate(AoiLabel)}
@@ -516,6 +519,79 @@ def emit_plot_data(analyses, out_dir: str | Path) -> list[Path]:
 def report_json(report: dict) -> str:
     """The report text ``write_report`` wrote before its own encoder."""
     return json.dumps(report, indent=2)
+
+
+def level_block(analysis, config) -> dict:
+    """One ``levels`` entry of a report, every leaf built from the analysis."""
+    b = analysis.breakdown
+    game = analysis.game
+    diff = (
+        abs(b.final_score - game.accuracy_pct) if game.accuracy_pct is not None else None
+    )
+    category, calibration = classify_assessment(b.final_score, diff, config)
+    quadrant_names = [q.value for q in QUADRANT_ORDER]
+    return {
+        "level": analysis.session.level,
+        "score": {
+            "base_score": _score(b.base_score),
+            "level_bonus": _score(b.level_bonus),
+            "focus_score": _score(b.focus_score),
+            "engagement_bonus": _score(b.engagement_bonus),
+            "sustained_bonus": _score(b.sustained_bonus),
+            "duration_bonus": _score(b.duration_bonus),
+            "excess_penalty": _score(b.excess_penalty),
+            "temporal_impact": _score(b.temporal_impact),
+            "multiplier": b.multiplier,
+            "final_score": _score(b.final_score),
+        },
+        "transitions": {
+            "quadrant_order": quadrant_names,
+            "quadrant_counts": analysis.quadrant_matrix.counts.tolist(),
+            "aoi_order": [a.value for a in AOI_ORDER],
+            "aoi_counts": analysis.aoi_matrix.counts.tolist(),
+            "nsq_to_sq": analysis.aggregates.nsq_to_sq,
+            "sq_to_nsq": analysis.aggregates.sq_to_nsq,
+            "nsq_to_nsq": analysis.aggregates.nsq_to_nsq,
+            "sq_to_sq": analysis.aggregates.sq_to_sq,
+            "total": analysis.aggregates.total,
+            "aoi_switches": analysis.aoi.left_right_transitions,
+            "aoi_balance": _ratio(analysis.aoi.balance),
+            "aoi_efficiency": _ratio(analysis.aoi.efficiency),
+            "fixations_left": analysis.aoi.fixations_left,
+            "fixations_right": analysis.aoi.fixations_right,
+            # time_in_quadrant is in QUADRANT_ORDER (DwellSummary).
+            "dwell_ms": dict(zip(quadrant_names, analysis.dwell.time_in_quadrant.values())),
+            "session_duration_ms": analysis.dwell.session_duration_ms,
+            "stimuli_focus_pct": _pct(analysis.dwell.stimuli_focus_pct),
+            "focus_aoi_pct": _pct(analysis.features.focus_aoi_pct),
+            "aoi_time_share_pct": _pct(analysis.features.aoi_time_share_pct),
+        },
+        "temporal": {
+            "eta_temporal": _ratio(analysis.temporal.eta_temporal),
+            "mu_engagement_ms": _score(analysis.temporal.mu_engagement_ms),
+            "sigma_sustained": _ratio(analysis.temporal.sigma_sustained),
+            "period_count": analysis.temporal.period_count,
+            "sustained_count": analysis.temporal.sustained_count,
+        },
+        "game": (
+            None
+            if game.total_events == 0
+            else {
+                "correct_clicks": game.correct_clicks,
+                "total_clicks": game.total_clicks,
+                "correct_answers": game.correct_answers,
+                "total_answers": game.total_answers,
+                "total_events": game.total_events,
+                "accuracy_pct": _pct(game.accuracy_pct),
+            }
+        ),
+        "assessment": {
+            "performance": category.value,
+            "calibration": calibration.value if calibration is not None else None,
+            "difference": _score(diff),
+        },
+        "constraint_violations": list(analysis.violations),
+    }
 
 
 def _paired(model: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

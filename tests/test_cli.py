@@ -113,6 +113,28 @@ class TestAnalyze:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--student", "NOPE"], "--student NOPE"),
+        (["--student", "NOPE", "--level", "1"], "--student NOPE"),
+        (["--level", "2"], "--level 2"),
+        (["--student", "S10", "--level", "3"], "--student S10 --level 3"),
+    ])
+    def test_no_session_files_names_the_filter(
+        self, fixture_dir, tmp_path, capsys, command, flags, named
+    ):
+        """Session files exist but a filter leaves none: the error names the
+        filter, not the file name pattern the files do match."""
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        (in_dir / "S10_level1.csv").write_bytes((fixture_dir / "S10_level1.csv").read_bytes())
+        code = main([command, "--in", str(in_dir), *flags, "--out", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"no session files for {named} in {in_dir}" in err
+        assert "matching" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_reports_byte_identical(self, fixture_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -89,6 +89,51 @@ class TestBuildReport:
         assert a == b
 
 
+def _mutate_every_container(node) -> int:
+    """Write into every dict and list of a report, deepest first: overwrite
+    each entry and add one. Returns how many containers it wrote into."""
+    if isinstance(node, dict):
+        written = sum(_mutate_every_container(value) for value in node.values())
+        node.update(dict.fromkeys(node, "mutated"), mutated=True)
+        return written + 1
+    if isinstance(node, list):
+        written = sum(_mutate_every_container(value) for value in node)
+        node[:] = ["mutated"] * len(node) + ["mutated"]
+        return written + 1
+    return 0
+
+
+@pytest.mark.parametrize("changes_only", [False, True])
+def test_mutated_report_leaves_the_next_one_alone(changes_only):
+    """A report is its caller's: writing into it (count rows, order lists,
+    dwell_ms, game, constraint_violations) changes no later report of the
+    same sessions, under the same config or the other AoI switch value."""
+    config = ScoringConfig(aoi_total_changes_only=changes_only)
+    other = ScoringConfig(aoi_total_changes_only=not changes_only)
+    warm = generate_table_fixture()
+
+    def report(session_set, config):
+        return build_report("S10", *analyze_student(session_set, "S10", config), config)
+
+    first = report(warm, config)
+    blocks = first["levels"]
+    containers = [first, blocks, first["validation"], *blocks]
+    for block in blocks:
+        t = block["transitions"]
+        containers += [
+            block["score"], t, block["temporal"], block["game"], block["assessment"],
+            block["constraint_violations"], t["quadrant_order"], t["quadrant_counts"],
+            *t["quadrant_counts"], t["aoi_order"], t["aoi_counts"], *t["aoi_counts"],
+            t["dwell_ms"],
+        ]
+    assert all(isinstance(c, (dict, list)) for c in containers)
+    assert _mutate_every_container(first) == len(containers)
+
+    cold = generate_table_fixture()
+    for later in (config, other, config):
+        assert report(warm, later) == report(cold, later)
+
+
 class TestAoiTotalSwitch:
     """``aoi_total_changes_only`` narrows the AoI efficiency denominator to
     label changes (off-diagonal cells) instead of all consecutive pairs."""

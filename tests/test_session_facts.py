@@ -22,10 +22,11 @@ from gazescore.ingest import (
 )
 from gazescore.pipeline import SessionAnalysis, analyze_session
 from gazescore.report import build_report
-from gazescore.scoring import ETA_SOURCES, ScoringConfig
+from gazescore.scoring import ETA_SOURCES, LevelFeatures, ScoringConfig
 from gazescore.spatial import OUTSIDE_CODE, Quadrant
 from gazescore.synth import generate_table_fixture
 from gazescore.transitions import DwellSummary, TransitionMatrix
+import oracles
 from test_columnar_equivalence import MIN_DURATIONS, TOLERANCES, gap_lists, sessions
 
 # The 16 paper configs of the rescore benchmark.
@@ -117,6 +118,33 @@ def test_warm_session_analyses_like_a_fresh_one(session, config_list):
         assert _report_bytes(warm, config) == _report_bytes(cold, config)
 
 
+@st.composite
+def covering_configs(draw) -> list[ScoringConfig]:
+    """Configs with both AoI switch values and both eta sources, and a few
+    drawn freely, in a drawn order."""
+    covering = [
+        dataclasses.replace(draw(configs()), aoi_total_changes_only=switch, eta_source=source)
+        for switch in (False, True)
+        for source in ETA_SOURCES
+    ]
+    return draw(st.permutations(covering + draw(st.lists(configs(), max_size=2))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_sessions(), covering_configs())
+def test_warm_reports_equal_the_oracle(session, config_list):
+    """The per-session report leaves give, in any order of configs, the
+    document the per-call oracle builds from the same analysis."""
+    warm = config_list[-1]
+    build_report("s", [analyze_session(session, warm)], None, warm)  # facts and leaves exist
+    for config in config_list:
+        analysis = analyze_session(session, config)
+        want = {"student_id": "s", "levels": [oracles.level_block(analysis, config)],
+                "validation": None}
+        got = build_report("s", [analysis], None, config)
+        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+
 @pytest.fixture(scope="module")
 def fixture_session():
     return generate_table_fixture().sessions["S10", 2]
@@ -155,12 +183,40 @@ def test_aoi_metrics_computed_with_the_facts(session, monkeypatch):
 
 
 def test_analyses_hold_the_shared_facts(session):
-    """Every fact of an analysis is the very object the session's facts hold."""
+    """Every fact of an analysis is the very object the session's facts hold,
+    and an analysis holds its fields and nothing else, also once the
+    session's report leaves exist."""
     facts = pipeline.session_facts(session)
+    names = {f.name for f in dataclasses.fields(SessionAnalysis)}
     for config in (ScoringConfig(), ScoringConfig(aoi_total_changes_only=True, tau_min_ms=300)):
         analysis = analyze_session(session, config)
         for f in dataclasses.fields(pipeline.SessionFacts):
             assert getattr(analysis, f.name) is getattr(facts, f.name), f.name
+        assert vars(analysis).keys() == names
+        build_report("s", [analysis], None, config)
+
+
+def test_per_call_records_equal_checked_ones(session):
+    """Records built without ``__init__`` equal, and print as, the ones the
+    public constructors build from the same fields."""
+    analysis = analyze_session(session, ScoringConfig(tau_min_ms=300))
+    for record in (analysis.features, analysis.breakdown, analysis.temporal):
+        checked = type(record)(**vars(record))
+        assert record == checked and repr(record) == repr(checked)
+        assert hash(record) == hash(checked)
+
+
+def test_feature_checks_run_once_per_session(session, monkeypatch):
+    """``LevelFeatures`` checks only config-independent fields: once per AoI
+    switch value when the facts are made, not on every re-score."""
+    checked = []
+    check = LevelFeatures.__post_init__
+    monkeypatch.setattr(LevelFeatures, "__post_init__",
+                        lambda self: checked.append(self.aoi_transitions) or check(self))
+    for config in [*GRID, ScoringConfig(aoi_total_changes_only=True)]:
+        analyze_session(session, config)
+    facts = pipeline.session_facts(session)
+    assert checked == [facts.aoi_pairs.aoi_total, facts.aoi_changes.aoi_total]
 
 
 def test_replace_gets_fresh_facts(session):

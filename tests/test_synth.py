@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from gazescore.ingest import GazeSample
 from gazescore.pipeline import analyze_session
+from gazescore.spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel
 from gazescore.synth import (
+    _FIXTURE_PLANS,
     N_OBJECTS,
     ProfileError,
     SynthProfile,
+    _fixture_runs,
     generate_session,
     generate_table_fixture,
 )
@@ -177,3 +181,40 @@ class TestTableFixture:
     def test_no_constraint_violations(self, analyses):
         for analysis in analyses.values():
             assert analysis.violations == ()
+
+
+@pytest.mark.parametrize("plan", _FIXTURE_PLANS, ids=lambda plan: f"level{plan.level}")
+def test_fixture_plan_closes(plan):
+    """The planned runs, as per-sample int8 codes, give exactly the sample,
+    stimulus-gap, transition, AoI-switch and AoI-sample counts of the plan."""
+    runs = _fixture_runs(plan)
+    labels = [
+        (QUADRANT_ORDER.index(run.quadrant), AOI_ORDER.index(run.side or AoiLabel.OUTSIDE))
+        for run in runs
+    ]
+    counts = [run.sample_count(plan.dt) for run in runs]
+    quadrants, sides = np.repeat(np.array(labels, dtype=np.int8).reshape(-1, 2), counts, axis=0).T
+    n = len(quadrants)
+    assert n == plan.pairs + 1, (
+        f"fixture level {plan.level}: {n} samples, wanted {plan.pairs + 1}"
+    )
+    stimulus = np.array([q.is_stimulus for q in QUADRANT_ORDER])
+    sq = int(np.count_nonzero(stimulus[quadrants[:-1]]))
+    assert sq == plan.sq_gaps, (
+        f"fixture level {plan.level}: {sq} stimulus gaps, wanted {plan.sq_gaps}"
+    )
+    cross = int(np.count_nonzero(quadrants[1:] != quadrants[:-1]))
+    expected = 2 * plan.group_switches + plan.nn + plan.ss
+    assert cross == expected, (
+        f"fixture level {plan.level}: {cross} transitions, wanted {expected}"
+    )
+    inside = sides != OUTSIDE_CODE
+    switches = int(np.count_nonzero(inside[1:] & inside[:-1] & (sides[1:] != sides[:-1])))
+    assert switches == plan.n_pairs, (
+        f"fixture level {plan.level}: {switches} AoI switches, wanted {plan.n_pairs}"
+    )
+    aoi = int(np.count_nonzero(inside))
+    expected_aoi = sum(c for c, _ in (*plan.periods, *plan.singles)) + 2 * plan.n_pairs
+    assert aoi == expected_aoi, (
+        f"fixture level {plan.level}: {aoi} AoI samples, wanted {expected_aoi}"
+    )
