@@ -182,11 +182,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # Profile flags default to SUPPRESS: only the given ones are set, and
     # SynthProfile supplies the rest.
     given = {f.name: getattr(args, f.name) for f in fields(SynthProfile) if hasattr(args, f.name)}
-    if hasattr(args, "click_accuracy") or hasattr(args, "answer_accuracy"):
-        click, answer = SynthProfile.event_accuracy
-        given["event_accuracy"] = (
-            getattr(args, "click_accuracy", click), getattr(args, "answer_accuracy", answer)
-        )
     out_dir = Path(args.out)
     if args.fixture is not None:
         if given:
@@ -212,26 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON scoring config file")
-    common.add_argument("--width", type=_screen_size, default=1920.0)
-    common.add_argument("--height", type=_screen_size, default=1080.0)
-    common.add_argument("--y-up", action="store_true", dest="y_up",
+    # Screen, input selection and scoring flags shared by analyze and validate.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", default=None, help="JSON scoring config file")
+    shared.add_argument("--width", type=_screen_size, default=1920.0)
+    shared.add_argument("--height", type=_screen_size, default=1080.0)
+    shared.add_argument("--y-up", action="store_true", dest="y_up",
                         help="treat input coordinates as y-up instead of screen coordinates")
+    shared.add_argument("--in", dest="in_dir", required=True, help="input directory")
+    shared.add_argument("--student", default=None, help="only this student id")
+    shared.add_argument("--level", type=int, choices=VALID_LEVELS, default=None)
+    _add_config_flags(shared)
 
-    # Input selection and scoring flags shared by analyze and validate.
-    scoped = argparse.ArgumentParser(add_help=False)
-    scoped.add_argument("--in", dest="in_dir", required=True, help="input directory")
-    scoped.add_argument("--student", default=None, help="only this student id")
-    scoped.add_argument("--level", type=int, choices=VALID_LEVELS, default=None)
-    _add_config_flags(scoped)
-
-    analyze = sub.add_parser("analyze", parents=[common, scoped],
+    analyze = sub.add_parser("analyze", parents=[shared],
                              help="analyze session CSVs into reports and plot data")
     analyze.add_argument("--out", default="out", help="output directory")
     analyze.set_defaults(func=cmd_analyze)
 
-    validate = sub.add_parser("validate", parents=[common, scoped],
+    validate = sub.add_parser("validate", parents=[shared],
                               help="validate model scores against game accuracy")
     validate.add_argument("--out", default=None, help="also write the report document here")
     validate.set_defaults(func=cmd_validate)

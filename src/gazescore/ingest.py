@@ -229,10 +229,9 @@ class SessionSet:
         return sorted({sid for sid, _ in self.sessions})
 
     def for_student(self, student_id: str) -> list[LevelSession]:
-        return [
-            self.sessions[(student_id, level)]
-            for level in sorted(lv for sid, lv in self.sessions if sid == student_id)
-        ]
+        """The student's sessions in level order."""
+        get = self.sessions.get
+        return [s for level in VALID_LEVELS if (s := get((student_id, level))) is not None]
 
     def __len__(self) -> int:
         return len(self.sessions)
@@ -460,7 +459,9 @@ def load_level_csv(
     Malformed event or placement fields are structural errors and raise
     SessionLoadError with file, line and field context, as do bytes that
     are not UTF-8 and rows the CSV reader rejects (a field over its size
-    limit).
+    limit). Row and field errors count lines by CSV record (a quoted cell
+    spanning lines puts them behind), non-UTF-8 errors by physical line,
+    and a non-UTF-8 byte wins over a faulty row earlier in its 8 KB block.
     """
     path = Path(path)
     if level not in VALID_LEVELS:
@@ -569,7 +570,7 @@ def merge_levels(sessions: Iterable[LevelSession]) -> SessionSet:
     for session in sessions:
         merged.add(session)
     for student in merged.students():
-        levels = sorted(s.level for s in merged.for_student(student))
+        levels = [s.level for s in merged.for_student(student)]
         if len(levels) < len(VALID_LEVELS):
             log.warning(
                 "student %s has levels %s only (expected %s)", student, levels, list(VALID_LEVELS)

@@ -117,8 +117,8 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
         },
         "game": leaves[2] and dict(leaves[2]),
         "assessment": {
-            "performance": category.value,
-            "calibration": calibration.value if calibration is not None else None,
+            "performance": category,
+            "calibration": calibration,
             "difference": _score(diff),
         },
         "constraint_violations": list(analysis.violations),

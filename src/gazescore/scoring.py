@@ -39,6 +39,7 @@ FOCUS_RANGE_BONUS = 7.5   # level 2, stimulus focus strictly inside (50, 75)
 FOCUS_HIGH_BONUS = 10.0   # level 3, stimulus focus strictly above 65
 
 LEVEL_FOCUS_WEIGHT = {1: 0.2, 2: 0.25, 3: 0.3}
+LEVEL_FEATURE = {1: "interactions", 2: "aoi_transitions", 3: "aoi_switches"}
 LEVEL_FEATURE_WEIGHT = {1: 0.5, 2: 1.8, 3: 2.5}
 
 ETA_SOURCES = ("temporal", "aoi_dwell")
@@ -203,14 +204,7 @@ def level_bonus(features: LevelFeatures) -> float:
     activity, level 3 direct left/right switching.
     """
     level = features.level
-    if level == 1:
-        extra = features.interactions
-    elif level == 2:
-        extra = features.aoi_transitions
-    elif level == 3:
-        extra = features.aoi_switches
-    else:  # pragma: no cover - guarded by LevelFeatures
-        raise ValueError(f"invalid level {level}")
+    extra = getattr(features, LEVEL_FEATURE[level])
     return LEVEL_FOCUS_WEIGHT[level] * features.focus_aoi_pct + LEVEL_FEATURE_WEIGHT[level] * extra
 
 

@@ -23,11 +23,6 @@ class Quadrant(Enum):
     Q3 = "Q3"
     Q4 = "Q4"
 
-    @property
-    def is_stimulus(self) -> bool:
-        """Q3/Q4 hold the game stimuli; Q1/Q2 are menu/interface areas."""
-        return self in (Quadrant.Q3, Quadrant.Q4)
-
 
 class AoiLabel(Enum):
     LEFT = "left"

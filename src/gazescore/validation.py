@@ -10,24 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .ingest import GameEvent
 from .scoring import ScoringConfig
-
-
-class PerformanceCategory(Enum):
-    MASTERY = "Mastery"
-    DEVELOPING = "Developing"
-    STRUGGLING = "Struggling"
-
-
-class CalibrationLabel(Enum):
-    EXCELLENT = "Excellent"
-    GOOD = "Good"
-    FAIR = "Fair"
-    POOR = "Poor"
 
 
 @dataclass(frozen=True)
@@ -227,25 +213,25 @@ def classify_assessment(
     final_score: float,
     calibration_diff: float | None,
     config: ScoringConfig = ScoringConfig(),
-) -> tuple[PerformanceCategory, CalibrationLabel | None]:
+) -> tuple[str, str | None]:
     """Performance category from the score, calibration label from the
     absolute model-vs-accuracy difference (None when no ground truth)."""
     if final_score >= config.mastery_min:
-        category = PerformanceCategory.MASTERY
+        category = "Mastery"
     elif final_score >= config.developing_min:
-        category = PerformanceCategory.DEVELOPING
+        category = "Developing"
     else:
-        category = PerformanceCategory.STRUGGLING
+        category = "Struggling"
 
     if calibration_diff is None:
         return category, None
     diff = abs(calibration_diff)
     if diff < config.calibration_excellent:
-        label = CalibrationLabel.EXCELLENT
+        label = "Excellent"
     elif diff < config.calibration_good:
-        label = CalibrationLabel.GOOD
+        label = "Good"
     elif diff < config.calibration_fair:
-        label = CalibrationLabel.FAIR
+        label = "Fair"
     else:
-        label = CalibrationLabel.POOR
+        label = "Poor"
     return category, label

@@ -52,7 +52,7 @@ from gazescore.spatial import (
     ScreenGeometry,
 )
 from gazescore.transitions import DwellSummary
-from gazescore.validation import ValidationReport, classify_assessment
+from gazescore.validation import ValidationReport
 
 _QUADRANT_INDEX = {q: i for i, q in enumerate(Quadrant)}
 _AOI_INDEX = {a: i for i, a in enumerate(AoiLabel)}
@@ -521,6 +521,21 @@ def report_json(report: dict) -> str:
     return json.dumps(report, indent=2)
 
 
+def assessment(score: float, diff: float | None, config) -> tuple[str, str | None]:
+    """Performance and calibration labels read off the config thresholds:
+    the first bound the score reaches, the first bound the difference is under."""
+    category = next(
+        (name for bound, name in ((config.mastery_min, "Mastery"),
+                                  (config.developing_min, "Developing")) if score >= bound),
+        "Struggling",
+    )
+    if diff is None:
+        return category, None
+    bounds = ((config.calibration_excellent, "Excellent"), (config.calibration_good, "Good"),
+              (config.calibration_fair, "Fair"))
+    return category, next((name for bound, name in bounds if diff < bound), "Poor")
+
+
 def level_block(analysis, config) -> dict:
     """One ``levels`` entry of a report, every leaf built from the analysis."""
     b = analysis.breakdown
@@ -528,7 +543,7 @@ def level_block(analysis, config) -> dict:
     diff = (
         abs(b.final_score - game.accuracy_pct) if game.accuracy_pct is not None else None
     )
-    category, calibration = classify_assessment(b.final_score, diff, config)
+    category, calibration = assessment(b.final_score, diff, config)
     quadrant_names = [q.value for q in QUADRANT_ORDER]
     return {
         "level": analysis.session.level,
@@ -586,8 +601,8 @@ def level_block(analysis, config) -> dict:
             }
         ),
         "assessment": {
-            "performance": category.value,
-            "calibration": calibration.value if calibration is not None else None,
+            "performance": category,
+            "calibration": calibration,
             "difference": _score(diff),
         },
         "constraint_violations": list(analysis.violations),

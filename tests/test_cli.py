@@ -50,14 +50,12 @@ class TestSynth:
     def test_parser_sets_no_profile_field(self):
         """Profile flags are set only when given; SynthProfile holds the defaults."""
         args = vars(cli.build_parser().parse_args(["synth"]))
-        profile_dests = {f.name for f in fields(SynthProfile)} | {"click_accuracy",
-                                                                  "answer_accuracy"}
-        assert not profile_dests & args.keys()
+        assert not {f.name for f in fields(SynthProfile)} & args.keys()
 
     def test_given_flags_set_only_their_fields(self, tmp_path):
         assert main(["synth", "--click-accuracy", "0.5", "--sf", "65", "--level", "3",
                      "--out", str(tmp_path / "cli")]) == EXIT_OK
-        profile = SynthProfile(event_accuracy=(0.5, 0.9), target_sf_pct=65.0, level=3)
+        profile = SynthProfile(click_accuracy=0.5, target_sf_pct=65.0, level=3)
         write_session_set(merge_levels([generate_session(profile)]), tmp_path / "api")
         name = "SYNTH_level3.csv"
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
@@ -305,6 +303,12 @@ class TestValidate:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "correlations undefined" in out
+
+    def test_student_without_events(self, tmp_path, capsys):
+        assert main(["synth", "--clicks", "0", "--answers", "0", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["validate", "--in", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == "SYNTH: no game events, nothing to validate\n"
 
     def test_mismatched_students_rejected(self, fixture_dir, tmp_path, capsys):
         mixed = tmp_path / "mixed"

@@ -159,6 +159,13 @@ class TestLoadLevelCsv:
         assert session.samples[0].t_ms == 0  # normalized
         assert session.samples[-1].t_ms == 32
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "s1_level1.csv"
+        path.write_bytes(b"")
+        with pytest.raises(SessionLoadError, match="empty file") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 1
+
     def test_header_only_warns(self, tmp_path, caplog):
         path = tmp_path / "s1_level1.csv"
         _write(path, [])
@@ -389,6 +396,14 @@ class TestSampleColumns:
         assert tuple(session.samples) == samples
         assert session == LevelSession("s", 1, list(samples), (), ())
         assert len(LevelSession("s", 1, (), (), ()).samples) == 0
+
+    def test_session_level_checked(self):
+        with pytest.raises(ValueError, match="level must be in"):
+            LevelSession("s", 4, (), (), ())
+
+    def test_event_kind_checked(self):
+        with pytest.raises(ValueError, match="event kind must be one of"):
+            GameEvent(0, "jump", True)
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):

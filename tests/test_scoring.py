@@ -111,6 +111,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             ScoringConfig.from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"tau_min_ms": 0}, "tau_min_ms must be positive"),
+            ({"gap_tolerance_ms": -1}, "gap_tolerance_ms must be >= 0"),
+            ({"excess_period_threshold": -1}, "excess_period_threshold must be >= 0"),
+            ({"calibration_good": 20.0}, "calibration thresholds must increase"),
+            ({"developing_min": 85.0}, "performance thresholds"),
+            ({"max_impact": {1: 15.0, 2: 15.0}}, r"max_impact missing levels \[3\]"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            ScoringConfig(**kwargs)
+
     def test_bad_eta_source(self):
         with pytest.raises(ConfigError):
             ScoringConfig(eta_source="nope")
@@ -239,6 +254,19 @@ class TestPsiFocus:
         if any(lo < b <= hi or lo <= b < hi for b in breaks):
             return
         assert psi_focus(hi, level) >= psi_focus(lo, level) - TOL
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"level": 4}, "level must be in"),
+        ({"aoi_switches": -1}, "aoi_switches must be >= 0"),
+        ({"focus_aoi_pct": 101.0}, r"focus_aoi_pct must lie in \[0, 100\]"),
+    ],
+)
+def test_level_features_reject_bad_fields(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        features(**kwargs)
 
 
 class TestBaseScore:

@@ -97,10 +97,6 @@ class TestQuadrantOf:
                 labels = [quadrant_of(float(x), float(y), GEO_UP)]
                 assert len(set(labels)) == 1
 
-    def test_stimulus_flags(self):
-        assert Quadrant.Q3.is_stimulus and Quadrant.Q4.is_stimulus
-        assert not Quadrant.Q1.is_stimulus and not Quadrant.Q2.is_stimulus
-
 
 @pytest.mark.parametrize(
     "width,height", [(0, 1080), (-5, 1080), (math.nan, 1080), (math.inf, 1080), (1920, math.nan)]

@@ -5,7 +5,7 @@ import pytest
 
 from gazescore.ingest import GazeSample
 from gazescore.pipeline import analyze_session
-from gazescore.spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel
+from gazescore.spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel, Quadrant
 from gazescore.synth import (
     _FIXTURE_PLANS,
     N_OBJECTS,
@@ -64,7 +64,7 @@ class TestGenerateSession:
 
     def test_event_tallies(self):
         profile = SynthProfile(seed=5, duration_ms=40_000, n_clicks=10, n_answers=20,
-                               event_accuracy=(0.8, 0.95))
+                               answer_accuracy=0.95)
         session = generate_session(profile)
         clicks = [e for e in session.events if e.kind == "mouse_click"]
         answers = [e for e in session.events if e.kind == "answer"]
@@ -130,7 +130,31 @@ class TestProfileErrors:
 
     def test_bad_probability(self):
         with pytest.raises(ProfileError):
-            SynthProfile(event_accuracy=(1.5, 0.5))
+            SynthProfile(click_accuracy=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"target_sf_pct": 101.0}, "target_sf_pct"),
+            ({"target_aoi_dwell_share": 1.5}, "target_aoi_dwell_share"),
+            ({"answer_accuracy": 1.5}, "event accuracy"),
+            ({"engagement_period_lengths_ms": (3000, 0)}, "period lengths must be positive"),
+        ],
+    )
+    def test_out_of_range_fields(self, kwargs, match):
+        with pytest.raises(ProfileError, match=match):
+            SynthProfile(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"duration_ms": 300}, "session too short"),
+            ({"target_sf_pct": 5.0}, "stimulus block too small"),
+        ],
+    )
+    def test_infeasible_layout(self, kwargs, match):
+        with pytest.raises(ProfileError, match=match):
+            generate_session(SynthProfile(**kwargs))
 
     def test_bad_level(self):
         with pytest.raises(ProfileError):
@@ -185,9 +209,17 @@ class TestTableFixture:
 
 @pytest.mark.parametrize("plan", _FIXTURE_PLANS, ids=lambda plan: f"level{plan.level}")
 def test_fixture_plan_closes(plan):
-    """The planned runs, as per-sample int8 codes, give exactly the sample,
-    stimulus-gap, transition, AoI-switch and AoI-sample counts of the plan."""
+    """The planned runs fit the plan's visit budgets and, as per-sample int8
+    codes, give exactly its sample, stimulus-gap, transition, AoI-switch and
+    AoI-sample counts."""
     runs = _fixture_runs(plan)
+    # Each first visit opens with the run that takes up its spare samples: the
+    # first stimulus visit with its padding, the first non-stimulus visit with
+    # its Q1 block. A plan over budget leaves it below one sample.
+    pad = runs[0].n - 1
+    assert pad >= 0, f"fixture level {plan.level}: stimulus visit over budget by {-pad}"
+    first_q1 = next(run for run in runs if run.quadrant is Quadrant.Q1)
+    assert first_q1.n >= 1, f"fixture level {plan.level}: non-stimulus visit over budget"
     labels = [
         (QUADRANT_ORDER.index(run.quadrant), AOI_ORDER.index(run.side or AoiLabel.OUTSIDE))
         for run in runs
@@ -198,7 +230,7 @@ def test_fixture_plan_closes(plan):
     assert n == plan.pairs + 1, (
         f"fixture level {plan.level}: {n} samples, wanted {plan.pairs + 1}"
     )
-    stimulus = np.array([q.is_stimulus for q in QUADRANT_ORDER])
+    stimulus = np.array([q in (Quadrant.Q3, Quadrant.Q4) for q in QUADRANT_ORDER])
     sq = int(np.count_nonzero(stimulus[quadrants[:-1]]))
     assert sq == plan.sq_gaps, (
         f"fixture level {plan.level}: {sq} stimulus gaps, wanted {plan.sq_gaps}"

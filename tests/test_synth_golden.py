@@ -39,7 +39,7 @@ PROFILES = {
         sample_interval_ms=25,
         duration_ms=40_000,
         n_clicks=10,
-        event_accuracy=(0.8, 0.95),
+        answer_accuracy=0.95,
     ),
     "dt33_offgrid_noise0": SynthProfile(
         seed=6,

@@ -12,8 +12,7 @@ from gazescore import validation
 from gazescore.ingest import GameEvent
 from gazescore.scoring import ScoringConfig
 from gazescore.validation import (
-    CalibrationLabel,
-    PerformanceCategory,
+    GamePerformance,
     classify_assessment,
     game_accuracy,
     mae,
@@ -85,6 +84,10 @@ class TestGameAccuracy:
         performance = game_accuracy([])
         assert performance.accuracy_pct is None
         assert performance.total_events == 0
+
+    def test_more_correct_than_total_rejected(self):
+        with pytest.raises(ValueError, match="correct counts cannot exceed totals"):
+            GamePerformance(3, 2, 0, 0, 2, 150.0)
 
     def test_kind_tallies(self):
         events = events_for("mouse_click", 2, 5) + events_for("answer", 3, 3)
@@ -321,39 +324,46 @@ class TestNonFinite:
             metric([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
+def _case_id(kind: str):
+    """Case ids spell a label as ``<kind>.<LABEL>``, e.g. ``CalibrationLabel.GOOD``."""
+    return lambda value: f"{kind}.{value.upper()}" if isinstance(value, str) else None
+
+
 class TestAssessments:
     @pytest.mark.parametrize(
         "diff,expected",
         [
-            (1.3, CalibrationLabel.EXCELLENT),
-            (5.2, CalibrationLabel.GOOD),
-            (11.6, CalibrationLabel.FAIR),
-            (20.0, CalibrationLabel.POOR),
+            (1.3, "Excellent"),
+            (5.2, "Good"),
+            (11.6, "Fair"),
+            (20.0, "Poor"),
         ],
+        ids=_case_id("CalibrationLabel"),
     )
     def test_calibration_labels(self, diff, expected):
         _, label = classify_assessment(90.0, diff)
-        assert label is expected
+        assert label == expected
 
     @pytest.mark.parametrize(
         "score,expected",
         [
-            (92.0, PerformanceCategory.MASTERY),
-            (85.0, PerformanceCategory.MASTERY),
-            (70.0, PerformanceCategory.DEVELOPING),
-            (59.9, PerformanceCategory.STRUGGLING),
+            (92.0, "Mastery"),
+            (85.0, "Mastery"),
+            (70.0, "Developing"),
+            (59.9, "Struggling"),
         ],
+        ids=_case_id("PerformanceCategory"),
     )
     def test_performance_categories(self, score, expected):
         category, _ = classify_assessment(score, 0.0)
-        assert category is expected
+        assert category == expected
 
     def test_missing_ground_truth(self):
         category, label = classify_assessment(88.0, None)
-        assert category is PerformanceCategory.MASTERY and label is None
+        assert category == "Mastery" and label is None
 
     def test_custom_thresholds(self):
         config = ScoringConfig(calibration_excellent=1.0, calibration_good=2.0,
                                calibration_fair=3.0)
         _, label = classify_assessment(90.0, 2.5, config)
-        assert label is CalibrationLabel.FAIR
+        assert label == "Fair"
