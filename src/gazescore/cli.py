@@ -83,10 +83,6 @@ def _period_lengths(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not comma-separated whole ms: {text!r}") from None
 
 
-def _geometry(args: argparse.Namespace) -> ScreenGeometry:
-    return ScreenGeometry(width_px=args.width, height_px=args.height, y_up=args.y_up)
-
-
 def _discover_sessions(
     in_dir: Path, student: str | None, level: int | None, geometry: ScreenGeometry
 ) -> SessionSet:
@@ -112,11 +108,16 @@ def _discover_sessions(
     return merge_levels([load_level_csv(path, lvl, sid, geometry) for path, sid, lvl in found])
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _inputs(args: argparse.Namespace) -> tuple[ScoringConfig, SessionSet]:
+    """The effective config, then the selected sessions: a bad config fails
+    before a missing input does."""
     config = _resolve_config(args)
-    session_set = _discover_sessions(
-        Path(args.in_dir), args.student, args.level, _geometry(args)
-    )
+    geometry = ScreenGeometry(width_px=args.width, height_px=args.height, y_up=args.y_up)
+    return config, _discover_sessions(Path(args.in_dir), args.student, args.level, geometry)
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    config, session_set = _inputs(args)
     # Analyze everything before writing anything, so a failing session
     # leaves no partial outputs; individual files are staged and renamed.
     results = []
@@ -139,10 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    session_set = _discover_sessions(
-        Path(args.in_dir), args.student, args.level, _geometry(args)
-    )
+    config, session_set = _inputs(args)
     students = session_set.students()
     if args.student is None and len(students) > 1:
         raise SessionLoadError(

@@ -45,9 +45,8 @@ MAX_ABS_TIMESTAMP_MS = 2**62
 EVENT_KINDS_SCORED = ("mouse_click", "answer")
 
 _NUMBER = r"([+-]?(?:\d+\.?\d*|\.\d+))"
-_COORD_RE = re.compile(rf"^\s*\(\s*{_NUMBER}\s*,\s*{_NUMBER}\s*\)\s*$")
-# The same pair on each line of "\n".join(cells): whitespace stops at the
-# line break, and a line that holds no pair leaves its text in group 3.
+# A coordinate pair on each line of "\n".join(cells): whitespace stops at
+# the line break, and a line that holds no pair leaves its text in group 3.
 _LINE_WS = r"[^\S\n]"
 _GAZE_LINES_RE = re.compile(
     rf"^{_LINE_WS}*(?:\({_LINE_WS}*{_NUMBER}{_LINE_WS}*,{_LINE_WS}*{_NUMBER}{_LINE_WS}*\)"
@@ -244,10 +243,10 @@ def parse_coordinate_string(text: str) -> tuple[float, float]:
     Raises CoordinateParseError for anything else (missing parentheses,
     non-numeric fields, wrong arity).
     """
-    match = _COORD_RE.match(text)
-    if match is None:
+    x, y, _ = _GAZE_LINES_RE.match(text.replace("\n", " ")).groups()
+    if x is None:
         raise CoordinateParseError(f"not a coordinate pair: {text!r}")
-    return float(match.group(1)), float(match.group(2))
+    return float(x), float(y)
 
 
 def _parse_timestamp(text: str) -> float:

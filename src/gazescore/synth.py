@@ -16,6 +16,7 @@ import numpy as np
 
 from .engagement import MIN_DURATION_MS
 from .ingest import (
+    MAX_ABS_TIMESTAMP_MS,
     VALID_LEVELS,
     GameEvent,
     LevelSession,
@@ -32,8 +33,15 @@ GEOMETRY = ScreenGeometry()
 # generate_session tops its placements up to at least this many.
 N_OBJECTS = 4
 
-LEFT_OBJECT = (480.0, 810.0)
-RIGHT_OBJECT = (1440.0, 810.0)
+# A profile may ask for at most this many samples (duration over interval)
+# and this many events, about 44 h at 16 ms; past it generation would run
+# away in time and memory.
+MAX_PROFILE_ITEMS = 10_000_000
+
+# Item i of a side-alternating list visits _SIDES[i % 2]. The left object
+# sits in stimulus quadrant Q3, the right one in Q4.
+_SIDES = (AoiLabel.LEFT, AoiLabel.RIGHT)
+_OBJECT = {AoiLabel.LEFT: (480.0, 810.0), AoiLabel.RIGHT: (1440.0, 810.0)}
 AOI_W = 200.0
 AOI_H = 150.0
 
@@ -85,31 +93,38 @@ class SynthProfile:
             raise ProfileError("seed and event counts must be >= 0")
         if not 0 <= self.noise_px < math.inf:
             raise ProfileError(f"noise_px must be finite and >= 0, got {self.noise_px}")
+        if self.duration_ms > MAX_ABS_TIMESTAMP_MS:
+            raise ProfileError(f"duration_ms must be at most {MAX_ABS_TIMESTAMP_MS}")
+        samples = self.duration_ms // self.sample_interval_ms
+        if max(samples, self.n_clicks + self.n_answers) > MAX_PROFILE_ITEMS:
+            raise ProfileError(
+                f"a profile may ask for at most {MAX_PROFILE_ITEMS} samples and as many events"
+            )
 
 
 @dataclass(frozen=True)
 class _Run:
-    """A run of consecutive samples sharing a quadrant and AoI state.
+    """A run of consecutive samples: filler in a quadrant's safe box, or a
+    visit to one side's object.
 
-    ``side=None`` means outside any AoI (filler). ``exact_span_ms``
-    forces the run to span exactly that many ms by adding one off-grid
-    sample at the end when the span is not a grid multiple.
+    ``exact_span_ms`` forces the run to span exactly that many ms by adding
+    one off-grid sample at the end when the span is not a grid multiple.
     """
 
-    quadrant: Quadrant
-    side: AoiLabel | None
+    where: Quadrant | AoiLabel
     n: int = 0
     exact_span_ms: int | None = None
 
-    def sample_count(self, dt: int) -> int:
+    def offsets(self, dt: int) -> np.ndarray:
+        """Sample times relative to the run's start."""
         if self.exact_span_ms is None:
-            return self.n
-        k = self.exact_span_ms // dt
-        return k + (2 if self.exact_span_ms % dt else 1)
+            return np.arange(self.n) * dt
+        span = self.exact_span_ms
+        grid = np.arange(span // dt + 1) * dt
+        return np.append(grid, span) if span % dt else grid
 
-
-def _object_for(side: AoiLabel) -> tuple[float, float]:
-    return LEFT_OBJECT if side is AoiLabel.LEFT else RIGHT_OBJECT
+    def sample_count(self, dt: int) -> int:
+        return len(self.offsets(dt))
 
 
 def _compile(
@@ -117,9 +132,10 @@ def _compile(
 ) -> tuple[SampleColumns, list[ObjectPlacement]]:
     """Emit samples and placements for a run list on a dt grid.
 
-    Each sample is its run's centre plus uniform jitter of up to
-    ``noise_px`` (at most the half-size of the run's box), drawn x then y,
-    sample by sample, in one call.
+    Each run starts one dt after its predecessor's last sample. Each sample
+    is its run's centre plus uniform jitter of up to ``noise_px`` (at most
+    the half-size of the run's box), drawn x then y, sample by sample, in
+    one call.
     """
     times: list[np.ndarray] = []
     shapes: list[tuple[float, float, float, float]] = []  # centre x, y; half-size x, y
@@ -127,28 +143,20 @@ def _compile(
     active: AoiLabel | None = None
     t = 0
     for run in runs:
-        if run.exact_span_ms is None:
-            offsets = np.arange(run.n) * dt
-            footprint = run.n * dt
-        else:
-            span = run.exact_span_ms
-            offsets = np.arange(span // dt + 1) * dt
-            if span % dt:
-                offsets = np.append(offsets, span)
-            footprint = span + dt
-        if run.side is None:
-            x_lo, x_hi, y_lo, y_hi = _SAFE_BOX[run.quadrant]
+        offsets = run.offsets(dt)
+        if isinstance(run.where, Quadrant):
+            x_lo, x_hi, y_lo, y_hi = _SAFE_BOX[run.where]
             shapes.append(
                 ((x_lo + x_hi) / 2, (y_lo + y_hi) / 2, (x_hi - x_lo) / 2, (y_hi - y_lo) / 2)
             )
         else:
-            ox, oy = _object_for(run.side)
-            if active is not run.side:
+            ox, oy = _OBJECT[run.where]
+            if active is not run.where:
                 placements.append(ObjectPlacement(t, ox, oy, AOI_W, AOI_H))
-                active = run.side
+                active = run.where
             shapes.append((ox, oy, AOI_W / 2 - 15, AOI_H / 2 - 15))
         times.append(t + offsets)
-        t += footprint
+        t += int(offsets[-1]) + dt if len(offsets) else 0
     per_sample = np.repeat(np.array(shapes), list(map(len, times)), axis=0)
     amplitudes = np.minimum(per_sample[:, 2:], noise_px)
     jitter = rng.uniform(-amplitudes, amplitudes)
@@ -172,21 +180,22 @@ def _make_events(
     return tuple(events)
 
 
-def _aoi_block(
-    quadrant: Quadrant, items: list[_Run], total_samples: int, dt: int
-) -> list[_Run]:
-    """One quadrant block: padded filler, then items separated by filler."""
-    minimum = sum(item.sample_count(dt) for item in items) + len(items) + 1
-    pad = total_samples - minimum
+def _block(quadrant: Quadrant, items: list[_Run]) -> list[_Run]:
+    """One filler sample, then each item followed by one filler sample."""
+    runs = [_Run(quadrant, 1)]
+    for item in items:
+        runs += (item, _Run(quadrant, 1))
+    return runs
+
+
+def _padded(quadrant: Quadrant, runs: list[_Run], total_samples: int, dt: int) -> list[_Run]:
+    """Filler ahead of the runs so that all of them hold total_samples samples."""
+    pad = total_samples - sum(run.sample_count(dt) for run in runs)
     if pad < 0:
         raise ProfileError(
-            f"stimulus block too small: need {minimum} samples, have {total_samples}"
+            f"stimulus block too small: need {total_samples - pad} samples, have {total_samples}"
         )
-    runs: list[_Run] = [_Run(quadrant, None, 1 + pad)]
-    for item in items:
-        runs.append(item)
-        runs.append(_Run(quadrant, None, 1))
-    return runs
+    return [_Run(quadrant, pad), *runs]
 
 
 def generate_session(profile: SynthProfile) -> LevelSession:
@@ -211,16 +220,7 @@ def generate_session(profile: SynthProfile) -> LevelSession:
     duration = pairs * dt
 
     # Engagement and glance content, alternating sides.
-    left_items: list[_Run] = []
-    right_items: list[_Run] = []
-    period_time = 0
-    for i, length in enumerate(lengths):
-        if i % 2 == 0:
-            left_items.append(_Run(Quadrant.Q3, AoiLabel.LEFT, exact_span_ms=length))
-        else:
-            right_items.append(_Run(Quadrant.Q4, AoiLabel.RIGHT, exact_span_ms=length))
-        period_time += length + dt
-
+    period_time = sum(length + dt for length in lengths)
     aoi_time_target = round(profile.target_aoi_dwell_share * duration)
     glance_time = aoi_time_target - period_time
     if glance_time < -dt * max(1, len(lengths)):
@@ -229,18 +229,19 @@ def generate_session(profile: SynthProfile) -> LevelSession:
             f"target of {aoi_time_target} ms"
         )
     glance_n = max(2, min(math.ceil(MIN_DURATION_MS / dt) - 1, 10))
-    for i in range(max(0, glance_time) // (glance_n * dt)):
-        if i % 2 == 0:
-            left_items.append(_Run(Quadrant.Q3, AoiLabel.LEFT, glance_n))
-        else:
-            right_items.append(_Run(Quadrant.Q4, AoiLabel.RIGHT, glance_n))
+    glances = range(max(0, glance_time) // (glance_n * dt))
+    left, right = (
+        [_Run(side, exact_span_ms=length) for length in lengths[i::2]]
+        + [_Run(side, glance_n) for _ in glances[i::2]]
+        for i, side in enumerate(_SIDES)
+    )
 
     # Ends on a non-stimulus block so stimulus gaps equal stimulus samples.
     runs = [
-        _Run(Quadrant.Q1, None, (nsq_gaps + 1) // 2),
-        *_aoi_block(Quadrant.Q3, left_items, (sq_gaps + 1) // 2, dt),
-        *_aoi_block(Quadrant.Q4, right_items, sq_gaps // 2, dt),
-        _Run(Quadrant.Q2, None, nsq_gaps // 2 + 1),
+        _Run(Quadrant.Q1, (nsq_gaps + 1) // 2),
+        *_padded(Quadrant.Q3, _block(Quadrant.Q3, left), (sq_gaps + 1) // 2, dt),
+        *_padded(Quadrant.Q4, _block(Quadrant.Q4, right), sq_gaps // 2, dt),
+        _Run(Quadrant.Q2, nsq_gaps // 2 + 1),
     ]
 
     samples, placements = _compile(runs, dt, rng, profile.noise_px)
@@ -249,7 +250,7 @@ def generate_session(profile: SynthProfile) -> LevelSession:
     # the last AoI run and never capture filler samples.
     last = int(samples.t_ms[-1])
     for i in range(max(0, N_OBJECTS - len(placements))):
-        ox, oy = _object_for(AoiLabel.LEFT if i % 2 == 0 else AoiLabel.RIGHT)
+        ox, oy = _OBJECT[_SIDES[i % 2]]
         placements.append(ObjectPlacement(last - i * dt - dt + 1, ox, oy, AOI_W, AOI_H))
     placements.sort(key=lambda p: p.t_ms)
 
@@ -287,17 +288,11 @@ class _FixturePlan:
     ss: int                    # Q3<->Q4 switches, all in the first SQ visit
     n_pairs: int               # leading ss boundaries realized as AoI switch pairs
     sq_gaps: int
-    periods: tuple[tuple[int, AoiLabel], ...]   # (sample count, side)
-    singles: tuple[tuple[int, AoiLabel], ...]
+    periods: tuple[int, ...]   # sample counts; sides alternate from the left
+    singles: tuple[int, ...]
     small_visit: int
     clicks: tuple[int, int]    # (total, correct)
     answers: tuple[int, int]
-
-
-def _sides(counts: list[int]) -> tuple[tuple[int, AoiLabel], ...]:
-    return tuple(
-        (n, AoiLabel.LEFT if i % 2 == 0 else AoiLabel.RIGHT) for i, n in enumerate(counts)
-    )
 
 
 _FIXTURE_PLANS = (
@@ -311,8 +306,8 @@ _FIXTURE_PLANS = (
         ss=28,
         n_pairs=2,
         sq_gaps=9062,
-        periods=_sides([939, 875, 813, 751, 688, 501, 376]),
-        singles=_sides([10] * 16 + [6]),
+        periods=(939, 875, 813, 751, 688, 501, 376),
+        singles=(10,) * 16 + (6,),
         small_visit=8,
         clicks=(18, 15),
         answers=(36, 36),
@@ -327,8 +322,8 @@ _FIXTURE_PLANS = (
         ss=28,
         n_pairs=12,
         sq_gaps=6820,
-        periods=_sides([751, 601, 501, 401, 301, 161]),
-        singles=_sides([2] * 110),
+        periods=(751, 601, 501, 401, 301, 161),
+        singles=(2,) * 110,
         small_visit=8,
         clicks=(11, 11),
         answers=(34, 33),
@@ -343,8 +338,8 @@ _FIXTURE_PLANS = (
         ss=20,
         n_pairs=20,
         sq_gaps=1728,
-        periods=_sides([36] * 12),
-        singles=_sides([2] * 20),
+        periods=(36,) * 12,
+        singles=(2,) * 20,
         small_visit=8,
         clicks=(13, 10),
         answers=(34, 31),
@@ -352,85 +347,50 @@ _FIXTURE_PLANS = (
 )
 
 
-def _phase_runs(plan: _FixturePlan, phase: int, items: list[_Run], extra: int) -> list[_Run]:
+def _phase_runs(plan: _FixturePlan, phase: int, items: list[_Run]) -> list[_Run]:
     """One Q3/Q4 sub-block of the content visit.
 
     A phase carries a head (tail) AoI sample when the boundary before
     (after) it is realized as a direct left/right switch pair.
     """
-    quadrant = Quadrant.Q3 if phase % 2 == 0 else Quadrant.Q4
-    side = AoiLabel.LEFT if phase % 2 == 0 else AoiLabel.RIGHT
+    quadrant = (Quadrant.Q3, Quadrant.Q4)[phase % 2]
+    side = _SIDES[phase % 2]
     head = phase > 0 and (phase - 1) < plan.n_pairs
     tail = phase < plan.ss and phase < plan.n_pairs
-    runs: list[_Run] = []
-    if head:
-        runs.append(_Run(quadrant, side, 1))
+    runs = [_Run(side, 1)] if head else []
     if items:
-        runs.append(_Run(quadrant, None, 1 + extra))
-        for item in items:
-            runs.append(item)
-            runs.append(_Run(quadrant, None, 1))
-    elif extra > 0 or (not head and not tail):
-        runs.append(_Run(quadrant, None, max(1, extra)))
+        runs += _block(quadrant, items)
+    elif not head and not tail:
+        runs.append(_Run(quadrant, 1))
     if tail:
-        runs.append(_Run(quadrant, side, 1))
+        runs.append(_Run(side, 1))
     return runs
 
 
 def _fixture_runs(plan: _FixturePlan) -> list[_Run]:
-    dt = plan.dt
-    left_items = [
-        _Run(Quadrant.Q3, AoiLabel.LEFT, n)
-        for n, side in (*plan.periods, *plan.singles)
-        if side is AoiLabel.LEFT
-    ]
-    right_items = [
-        _Run(Quadrant.Q4, AoiLabel.RIGHT, n)
-        for n, side in (*plan.periods, *plan.singles)
-        if side is AoiLabel.RIGHT
-    ]
-
+    left, right = (
+        [_Run(side, n) for counts in (plan.periods, plan.singles) for n in counts[i::2]]
+        for i, side in enumerate(_SIDES)
+    )
     k = plan.group_switches
     sq_samples = plan.sq_gaps + 1      # session ends inside a stimulus visit
     nsq_samples = plan.pairs - plan.sq_gaps
-    first_sq_budget = sq_samples - k * plan.small_visit
-    first_nsq_budget = nsq_samples - (k - 1) * plan.small_visit
 
-    phase_items: list[list[_Run]] = [[] for _ in range(plan.ss + 1)]
-    phase_items[0] = left_items
-    if plan.ss >= 1:
-        phase_items[1] = right_items
-    minimum = sum(
-        run.sample_count(dt)
-        for p in range(plan.ss + 1)
-        for run in _phase_runs(plan, p, phase_items[p], 0)
+    # The first stimulus visit: padding, then ss + 1 phases, the first two
+    # holding the items.
+    phases = enumerate([left, right] + [[]] * (plan.ss - 1))
+    runs = _padded(
+        Quadrant.Q3,
+        [run for p, items in phases for run in _phase_runs(plan, p, items)],
+        sq_samples - k * plan.small_visit,
+        plan.dt,
     )
-    extra = first_sq_budget - minimum
-    first_sq: list[_Run] = []
-    for p in range(plan.ss + 1):
-        first_sq.extend(_phase_runs(plan, p, phase_items[p], extra if p == 0 else 0))
-
-    nsq_blocks = plan.nn + 1
-    first_nsq = [
-        _Run(
-            Quadrant.Q1 if i % 2 == 0 else Quadrant.Q2,
-            None,
-            first_nsq_budget - (nsq_blocks - 1) if i == 0 else 1,
-        )
-        for i in range(nsq_blocks)
-    ]
-
-    runs: list[_Run] = list(first_sq)
-    for visit in range(k):
-        if visit == 0:
-            runs.extend(first_nsq)
-        else:
-            runs.append(
-                _Run(Quadrant.Q1 if visit % 2 == 0 else Quadrant.Q2, None, plan.small_visit)
-            )
-        runs.append(
-            _Run(Quadrant.Q4 if visit % 2 == 0 else Quadrant.Q3, None, plan.small_visit)
-        )
+    # The first non-stimulus visit: a Q1 block, then nn one-sample switches.
+    runs.append(_Run(Quadrant.Q1, nsq_samples - (k - 1) * plan.small_visit - plan.nn))
+    runs += [_Run((Quadrant.Q2, Quadrant.Q1)[i % 2], 1) for i in range(plan.nn)]
+    # Then small visits until the session's k stimulus visits are done.
+    cycle = (Quadrant.Q4, Quadrant.Q2, Quadrant.Q3, Quadrant.Q1)
+    runs += [_Run(cycle[i % 4], plan.small_visit) for i in range(2 * k - 1)]
     return runs
 
 

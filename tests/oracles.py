@@ -41,7 +41,6 @@ from gazescore.ingest import (
     SessionLoadError,
     _format_coord,
     _format_number,
-    parse_coordinate_string,
 )
 from gazescore.report import _pct, _ratio, _score
 from gazescore.spatial import (
@@ -211,6 +210,30 @@ def detect_engagement_periods(
         i += 1
     close_run()
     return periods
+
+
+def parse_coordinate_string(text: str) -> tuple[float, float]:
+    """The two floats of an ``"(x, y)"`` cell, by the grammar the package's
+    ``parse_coordinate_string`` docstring states: integers or decimals with
+    an optional sign, whitespace around any parenthesis, comma or number,
+    nothing else. It uses string methods, not the package's regular
+    expressions, so that a change to those shows here."""
+    body = text.strip()
+    fields = body[1:-1].split(",")
+    if len(body) < 2 or body[0] != "(" or body[-1] != ")" or len(fields) != 2:
+        raise CoordinateParseError(f"not a coordinate pair: {text!r}")
+    return _number(fields[0], text), _number(fields[1], text)
+
+
+def _number(field: str, text: str) -> float:
+    """An optionally signed run of digits with at most one point and a
+    digit on at least one side of it; no exponent, no inner whitespace."""
+    field = field.strip()
+    unsigned = field[1:] if field[:1] in ("+", "-") else field
+    whole, _, fraction = unsigned.partition(".")
+    if not (whole or fraction) or not all(p.isdecimal() for p in (whole, fraction) if p):
+        raise CoordinateParseError(f"not a coordinate pair: {text!r}")
+    return float(field)
 
 
 @dataclass(frozen=True)

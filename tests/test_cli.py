@@ -440,6 +440,10 @@ def _exit_case(tmp_path, case):
         return args + ["--no-such-flag"]
     if case == "missing input directory":
         return ["--in", str(tmp_path / "nope"), "--out", str(tmp_path / "out")]
+    if case == "bad config JSON and missing input":
+        config.write_text('{"gamma": 1,', encoding="utf-8")
+        return ["--in", str(tmp_path / "nope"), "--out", str(tmp_path / "out"),
+                "--config", str(config)]
     if case == "bad header":
         level.write_bytes(b"wrong,header\n1,2\n")
     elif case == "bad placement":
@@ -465,7 +469,8 @@ def _exit_case(tmp_path, case):
     "case,code",
     [("usage", 2), ("missing input directory", EXIT_IO), ("bad header", EXIT_DATA),
      ("bad placement", EXIT_DATA), ("non-UTF-8", EXIT_DATA), ("oversized field", EXIT_DATA),
-     ("bad config JSON", EXIT_CONFIG), ("boolean config value", EXIT_CONFIG),
+     ("bad config JSON", EXIT_CONFIG), ("bad config JSON and missing input", EXIT_CONFIG),
+     ("boolean config value", EXIT_CONFIG),
      ("width 0", 2), ("height nan", 2)],
 )
 def test_failure_class_exit_codes(tmp_path, case, code):
@@ -481,6 +486,8 @@ def test_failure_class_exit_codes(tmp_path, case, code):
     [(["--periods", "abc"], 2), (["--periods", "3000,2.5"], 2), (["--noise", "nan"], EXIT_CONFIG),
      (["--noise", "inf"], EXIT_CONFIG), (["--seed", "-1"], EXIT_CONFIG),
      (["--clicks", "-1"], EXIT_CONFIG), (["--answers", "-3"], EXIT_CONFIG),
+     (["--duration-ms", "1" + "0" * 30], EXIT_CONFIG), (["--clicks", "1000000000"], EXIT_CONFIG),
+     (["--duration-ms", "1" + "0" * 30, "--sample-interval-ms", "1" + "0" * 28], EXIT_CONFIG),
      (["--fixture", "case-study", "--level", "2", "--seed", "9", "--noise", "0"], 2),
      (["--width", "800", "--height", "600", "--y-up", "--config", "/nonexistent.json"], 2)],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from gazescore import ingest
 from gazescore.ingest import (
     CSV_HEADER,
@@ -47,6 +48,34 @@ class TestParseCoordinateString:
     def test_malformed(self, bad):
         with pytest.raises(CoordinateParseError):
             parse_coordinate_string(bad)
+
+
+# The package parser and the oracle's own grammar on the number and
+# whitespace edges: each must give these results by itself.
+PAIR_PARSERS = pytest.mark.parametrize(
+    "parse", [parse_coordinate_string, oracles.parse_coordinate_string], ids=["package", "oracle"]
+)
+
+
+@PAIR_PARSERS
+@pytest.mark.parametrize(
+    "text,pair",
+    [("(.5, 7.)", (0.5, 7.0)), ("(+4, -3)", (4.0, -3.0)), ("(-.25,+0.)", (-0.25, 0.0)),
+     ("\t(\t1 ,\r2\r)\t", (1.0, 2.0)), ("\n(\n3,\n4\n)\r\n", (3.0, 4.0))],
+)
+def test_pair_grammar_accepts(parse, text, pair):
+    assert parse(text) == pair
+
+
+@PAIR_PARSERS
+@pytest.mark.parametrize(
+    "text",
+    ["(1, 2", "1, 2)", "(1, 2, 3)", "(1e3, 2)", "(1, 2E1)", "(., 2)", "(+, 2)", "(+-1, 2)",
+     "(- 1, 2)", "(1 .5, 2)", "(1.2.3, 4)", "(1,)", "((1, 2))", "(inf, 2)"],
+)
+def test_pair_grammar_rejects(parse, text):
+    with pytest.raises(CoordinateParseError):
+        parse(text)
 
 
 def _write(path, rows):

@@ -8,6 +8,7 @@ from gazescore.pipeline import analyze_session
 from gazescore.spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel, Quadrant
 from gazescore.synth import (
     _FIXTURE_PLANS,
+    MAX_PROFILE_ITEMS,
     N_OBJECTS,
     ProfileError,
     SynthProfile,
@@ -128,6 +129,9 @@ class TestProfileErrors:
         with pytest.raises(ProfileError, match="400"):
             generate_session(SynthProfile(engagement_period_lengths_ms=(399,)))
 
+    def test_work_at_the_limits_is_accepted(self):
+        SynthProfile(duration_ms=MAX_PROFILE_ITEMS * 16, n_clicks=MAX_PROFILE_ITEMS, n_answers=0)
+
     def test_bad_probability(self):
         with pytest.raises(ProfileError):
             SynthProfile(click_accuracy=1.5)
@@ -139,6 +143,11 @@ class TestProfileErrors:
             ({"target_aoi_dwell_share": 1.5}, "target_aoi_dwell_share"),
             ({"answer_accuracy": 1.5}, "event accuracy"),
             ({"engagement_period_lengths_ms": (3000, 0)}, "period lengths must be positive"),
+            ({"duration_ms": 10**30}, "at most"),
+            ({"duration_ms": 10**30, "sample_interval_ms": 10**28}, "at most"),
+            ({"duration_ms": (MAX_PROFILE_ITEMS + 1) * 16}, "at most"),
+            ({"n_clicks": 10**9}, "at most"),
+            ({"n_clicks": MAX_PROFILE_ITEMS, "n_answers": 1}, "at most"),
         ],
     )
     def test_out_of_range_fields(self, kwargs, match):
@@ -212,16 +221,17 @@ def test_fixture_plan_closes(plan):
     """The planned runs fit the plan's visit budgets and, as per-sample int8
     codes, give exactly its sample, stimulus-gap, transition, AoI-switch and
     AoI-sample counts."""
-    runs = _fixture_runs(plan)
-    # Each first visit opens with the run that takes up its spare samples: the
-    # first stimulus visit with its padding, the first non-stimulus visit with
-    # its Q1 block. A plan over budget leaves it below one sample.
-    pad = runs[0].n - 1
-    assert pad >= 0, f"fixture level {plan.level}: stimulus visit over budget by {-pad}"
-    first_q1 = next(run for run in runs if run.quadrant is Quadrant.Q1)
+    runs = _fixture_runs(plan)  # a stimulus visit over budget raises ProfileError
+    # The first non-stimulus visit opens with the Q1 block that takes up its
+    # spare samples. A plan over budget leaves it below one sample.
+    first_q1 = next(run for run in runs if run.where is Quadrant.Q1)
     assert first_q1.n >= 1, f"fixture level {plan.level}: non-stimulus visit over budget"
+    # Filler lies in its quadrant; the left object in Q3, the right one in Q4.
+    home = {AoiLabel.LEFT: Quadrant.Q3, AoiLabel.RIGHT: Quadrant.Q4}
     labels = [
-        (QUADRANT_ORDER.index(run.quadrant), AOI_ORDER.index(run.side or AoiLabel.OUTSIDE))
+        (QUADRANT_ORDER.index(run.where), AOI_ORDER.index(AoiLabel.OUTSIDE))
+        if isinstance(run.where, Quadrant)
+        else (QUADRANT_ORDER.index(home[run.where]), AOI_ORDER.index(run.where))
         for run in runs
     ]
     counts = [run.sample_count(plan.dt) for run in runs]
@@ -246,7 +256,7 @@ def test_fixture_plan_closes(plan):
         f"fixture level {plan.level}: {switches} AoI switches, wanted {plan.n_pairs}"
     )
     aoi = int(np.count_nonzero(inside))
-    expected_aoi = sum(c for c, _ in (*plan.periods, *plan.singles)) + 2 * plan.n_pairs
+    expected_aoi = sum((*plan.periods, *plan.singles)) + 2 * plan.n_pairs
     assert aoi == expected_aoi, (
         f"fixture level {plan.level}: {aoi} AoI samples, wanted {expected_aoi}"
     )
