@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import compress, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +61,24 @@ _GAZE_LINES_RE = re.compile(
 # peak memory on long levels; smaller ones pay the fixed NumPy cost per batch
 # (about 40 us) more often.
 _CHUNK_ROWS = 512
+
+# The one-pass reader reads, decodes and parses the file in blocks of about
+# this many bytes, each cut after a line break, for the same reason.
+_SLICE_BYTES = 24 * 1024
+
+# One match per line: the timestamp, x and y text of a plain gaze line,
+# ``ts,"(x, y)",,,,,`` with an optional "\r", or the whole of any other line
+# (the groups that do not take part are None).
+_PLAIN_LINES_RE = re.compile(
+    rf'^(?:(\d*\.?\d*),"\({_NUMBER}, {_NUMBER}\)",,,,,\r?$|(.*))', re.MULTILINE | re.ASCII
+)
+# A quoted cell that opens and closes on one line.
+_QUOTED_CELL_RE = re.compile(r'(?<![^,\n])"[^"\r\n]*"(?![^,\r\n])')
+
+_BLANK_ROW = ("",) * len(CSV_HEADER)
+
+# Kept t, x and y columns and the drop count of one batch of rows.
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 _TRUE_VALUES = {"true", "1", "yes"}
 _FALSE_VALUES = {"false", "0", "no"}
@@ -258,18 +276,19 @@ def _parse_timestamp(text: str) -> float:
         return math.nan
 
 
-def _timestamp_values(cells: tuple[str, ...]) -> list[float]:
+def _timestamp_values(cells: Sequence[str | None]) -> list[float]:
     """``float`` of every cell in one C-level pass; only the cells it rejects
-    go through ``_parse_timestamp``. ``float`` itself ignores surrounding
-    ASCII whitespace, so a cell it accepts has the same value stripped."""
+    go through ``_parse_timestamp``, a missing cell (None) as a blank one.
+    ``float`` itself ignores surrounding ASCII whitespace, so a cell it
+    accepts has the same value stripped."""
     values: list[float] = []
     rest = iter(cells)
     while True:
         try:
             values.extend(map(float, rest))  # keeps the values before a failure
             return values
-        except ValueError:
-            values.append(_parse_timestamp(cells[len(values)]))
+        except (TypeError, ValueError):
+            values.append(_parse_timestamp(cells[len(values)] or ""))
 
 
 def _gaze_fields(cells: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
@@ -351,55 +370,45 @@ def _add_facets(
         events.append(GameEvent(t_ms, event_kind, correct))
 
 
-def _parse_rows(
-    rows: list[list[str]],
+def _kept(
+    ts_cells: Sequence[str | None],
+    xs: Sequence[str | None],
+    ys: Sequence[str | None],
+    rest: Sequence[str],
+    visits: list[tuple[int, list[str]]],
     first_line: int,
     path: Path,
     geometry: ScreenGeometry,
     placements: list[ObjectPlacement],
     events: list[GameEvent],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> _Batch:
     """Kept t, x and y columns (file order) and the drop count of a batch of
-    data rows, the first of them on line ``first_line``.
+    rows, the first of them on line ``first_line``, from each row's timestamp
+    cell and x and y text (empty or None without a coordinate pair). ``rest``
+    holds the leftover text of gaze cells that are not a pair (see
+    ``_gaze_fields``); each non-empty one is a dropped reading.
 
-    Timestamps, gaze cells and the drop rules run on whole columns. Only
-    rows with a placement or event cell and rows of the wrong length are
-    visited one by one, in file order, so the first error is the first
-    faulty row's.
+    ``visits`` are the (index, row) pairs, in file order, of the rows of the
+    wrong length or with a placement or event cell. They are the only rows
+    visited one by one, so the first error is the first faulty row's.
     """
     width = len(CSV_HEADER)
-    lengths = list(map(len, rows))
-    if lengths.count(width) == len(rows):
-        good, where, visits = rows, range(len(rows)), {}
-    else:
-        where = [i for i, n in enumerate(lengths) if n == width]
-        good = [rows[i] for i in where]
-        visits = {i: None for i, n in enumerate(lengths) if n != width}
-    ts_cells, gaze_cells, object_cells, _, _, kind_cells, _ = (
-        tuple(zip(*good)) or ((),) * width
-    )
-
     t = np.array(_timestamp_values(ts_cells), dtype=np.float64)
     # False for NaN and infinities. The range keeps every normalized time and
     # time difference inside the int64 columns of the analysis.
     usable = np.abs(t) < MAX_ABS_TIMESTAMP_MS
     t_ms = np.floor(np.where(usable, t, 0.0) + 0.5).astype(np.int64)
 
-    indices = range(len(good))
-    facet_rows = set(compress(indices, object_cells)).union(compress(indices, kind_cells))
-    visits.update((where[j], j) for j in facet_rows)
-    for i in sorted(visits):
-        j = visits[i]
-        if j is None:
-            if any(cell.strip() for cell in rows[i]):
+    for i, row in visits:
+        if len(row) != width:
+            if any(cell.strip() for cell in row):
                 raise SessionLoadError(
-                    f"expected {width} fields, got {len(rows[i])}", path, first_line + i
+                    f"expected {width} fields, got {len(row)}", path, first_line + i
                 )
             continue
-        t_row = int(t_ms[j]) if usable[j] else None
-        _add_facets(good[j], t_row, path, first_line + i, placements, events)
+        t_row = int(t_ms[i]) if usable[i] else None
+        _add_facets(row, t_row, path, first_line + i, placements, events)
 
-    xs, ys, rest = _gaze_fields(gaze_cells)
     parsed = np.fromiter(map(bool, xs), dtype=bool, count=len(xs))
     x = np.zeros(len(xs))
     y = np.zeros(len(ys))
@@ -412,9 +421,83 @@ def _parse_rows(
         & (0 <= x) & (x <= geometry.width_px)
         & (0 <= y) & (y <= geometry.height_px)
     )
-    given = parsed | np.fromiter(map(bool, rest), dtype=bool, count=len(rest))
-    dropped = int(np.count_nonzero(given)) - int(np.count_nonzero(keep))
+    unparsed = len(rest) - rest.count("")
+    dropped = int(np.count_nonzero(parsed)) + unparsed - int(np.count_nonzero(keep))
     return t_ms[keep], x[keep], y[keep], dropped
+
+
+def _parse_rows(
+    rows: list[list[str]],
+    first_line: int,
+    path: Path,
+    geometry: ScreenGeometry,
+    placements: list[ObjectPlacement],
+    events: list[GameEvent],
+) -> _Batch:
+    """``_kept`` of a batch of CSV rows: timestamps and gaze cells run as
+    whole columns, a row of the wrong length as a blank one."""
+    width = len(CSV_HEADER)
+    lengths = list(map(len, rows))
+    if lengths.count(width) == len(rows):
+        columns, visit = rows, set()
+    else:
+        columns = [row if n == width else _BLANK_ROW for row, n in zip(rows, lengths)]
+        visit = {i for i, n in enumerate(lengths) if n != width}
+    ts_cells, gaze_cells, object_cells, _, _, kind_cells, _ = (
+        tuple(zip(*columns)) or ((),) * width
+    )
+    indices = range(len(rows))
+    visit.update(compress(indices, object_cells), compress(indices, kind_cells))
+    visits = [(i, rows[i]) for i in sorted(visit)]
+    return _kept(
+        ts_cells, *_gaze_fields(gaze_cells), visits, first_line, path, geometry, placements, events
+    )
+
+
+def _plain_lines(text: str) -> list[list[str | None]] | None:
+    """Timestamp, x, y and other-line columns (see ``_PLAIN_LINES_RE``) of
+    whole lines of text, or None unless ``csv.reader`` reads each of the lines
+    as one record: no NUL, every "\r" before a "\n", every '"' opening or
+    closing a whole cell on one line, no line longer than the field limit.
+    A plain gaze line meets these by its form, so only the others are checked.
+    """
+    if text.endswith("\r"):
+        return None
+    # One match, four groups and the line break after it per line; a final
+    # line break leaves one more, empty match.
+    parts = _PLAIN_LINES_RE.split(text)
+    stop = len(parts) - 5 * text.endswith("\n")
+    columns = [parts[k:stop:5] for k in range(1, 5)]
+    others = "\n".join(filter(None, columns[3]))
+    limit = csv.field_size_limit()
+    if (
+        "\x00" in others
+        or others.count("\r") != others.count("\r\n") + others.endswith("\r")
+        or others.count('"') != 2 * len(_QUOTED_CELL_RE.findall(others))
+        or (len(text) > limit and max(map(len, text.split("\n"))) > limit)
+    ):
+        return None
+    return columns
+
+
+def _parse_lines(
+    columns: list[list[str | None]],
+    first_line: int,
+    path: Path,
+    geometry: ScreenGeometry,
+    placements: list[ObjectPlacement],
+    events: list[GameEvent],
+) -> _Batch:
+    """``_kept`` of lines that ``_plain_lines`` took apart: only the lines
+    that are not plain gaze lines go through ``csv.reader``."""
+    ts_cells, xs, ys, other = columns
+    odd = list(compress(range(len(other)), other))
+    visits = list(zip(odd, csv.reader(map(other.__getitem__, odd))))
+    full = [(i, row) for i, row in visits if len(row) == len(CSV_HEADER)]
+    odd_xs, odd_ys, rest = _gaze_fields(tuple(row[1] for _, row in full))
+    for (i, row), x, y in zip(full, odd_xs, odd_ys):
+        ts_cells[i], xs[i], ys[i] = row[0], x, y
+    return _kept(ts_cells, xs, ys, rest, visits, first_line, path, geometry, placements, events)
 
 
 def _read_rows(reader, size: int) -> tuple[list[list[str]], Exception | None]:
@@ -442,6 +525,93 @@ def _read_error(exc: Exception, path: Path, line_no: int) -> SessionLoadError:
     return SessionLoadError(f"unreadable CSV row: {exc}", path, line_no)
 
 
+def _line_blocks(path: Path) -> Iterator[tuple[int, list[list[str | None]] | None]]:
+    """The first line and the ``_plain_lines`` columns of each block of the
+    data lines; None, and nothing after it, for a block or a header that the
+    one-pass reader does not take (bytes that are not UTF-8 included)."""
+    with path.open("rb") as fh:
+        header = fh.readline()
+        try:
+            fields = header.decode("utf-8").rstrip("\r\n").split(",")
+        except UnicodeDecodeError:
+            fields = []
+        lone_cr = header.count(b"\r") != header.endswith(b"\r\n")
+        if lone_cr or [h.strip() for h in fields] != CSV_HEADER:
+            yield 2, None
+            return
+        line_no = 2
+        while data := fh.read(_SLICE_BYTES):
+            if not data.endswith(b"\n"):
+                data += fh.readline()
+            try:
+                columns = _plain_lines(data.decode("utf-8"))
+            except UnicodeDecodeError:
+                columns = None
+            yield line_no, columns
+            if columns is None:
+                return
+            line_no += len(columns[0])
+
+
+def _one_pass(
+    path: Path, geometry: ScreenGeometry
+) -> tuple[list[_Batch], list[ObjectPlacement], list[GameEvent]] | None:
+    """``_parse_lines`` of every block, with the placements and events, or
+    None when the file has no data lines or some block or the header is not
+    for the one-pass reader.
+
+    The answer is the batch reader's: a faulty row is reported only once the
+    rest of the file has proved to split into lines as the CSV reader splits
+    it, since the batch reader numbers the later lines otherwise or may stop
+    at a bad byte first.
+    """
+    placements: list[ObjectPlacement] = []
+    events: list[GameEvent] = []
+    batches: list[_Batch] = []
+    blocks = _line_blocks(path)
+    try:
+        for line_no, columns in blocks:
+            if columns is None:
+                return None
+            batches.append(_parse_lines(columns, line_no, path, geometry, placements, events))
+    except SessionLoadError:
+        if all(columns is not None for _, columns in blocks):
+            raise
+        return None
+    return (batches, placements, events) if batches else None
+
+
+def _batches(
+    path: Path, geometry: ScreenGeometry
+) -> tuple[list[_Batch], list[ObjectPlacement], list[GameEvent]]:
+    """``_parse_rows`` of each batch of ``_CHUNK_ROWS`` rows of the CSV
+    reader, which reads any file, with the placements and events."""
+    placements: list[ObjectPlacement] = []
+    events: list[GameEvent] = []
+    batches: list[_Batch] = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header, error = _read_rows(reader, 1)
+        if error is not None:
+            raise _read_error(error, path, 1)
+        if not header:
+            raise SessionLoadError("empty file, expected canonical header", path, 1)
+        if [h.strip() for h in header[0]] != CSV_HEADER:
+            raise SessionLoadError(
+                f"malformed header {header[0]!r}, expected {CSV_HEADER!r}", path, 1
+            )
+        line_no = 2
+        while True:
+            rows, error = _read_rows(reader, _CHUNK_ROWS)
+            batches.append(_parse_rows(rows, line_no, path, geometry, placements, events))
+            if error is not None:
+                raise _read_error(error, path, line_no + len(rows))
+            if len(rows) < _CHUNK_ROWS:
+                break
+            line_no += len(rows)
+    return batches, placements, events
+
+
 def load_level_csv(
     path: str | Path,
     level: int,
@@ -461,6 +631,14 @@ def load_level_csv(
     limit). Row and field errors count lines by CSV record (a quoted cell
     spanning lines puts them behind), non-UTF-8 errors by physical line,
     and a non-UTF-8 byte wins over a faulty row earlier in its 8 KB block.
+
+    A file with a one-line canonical header whose every line is one CSV
+    record (UTF-8, no NUL, every "\r" before a "\n", every '"' around a
+    whole cell on one line, no line over the CSV field limit) is read in one
+    pass, one block of about 24 KB of decoded text (1 B per character for
+    ASCII) at a time: one regular expression takes the plain gaze lines
+    apart and the CSV reader only the others. Any other file goes through
+    the CSV reader whole. Both give the same results and errors.
     """
     path = Path(path)
     if level not in VALID_LEVELS:
@@ -468,35 +646,10 @@ def load_level_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such session file: {path}")
 
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    dropped = 0
-    events: list[GameEvent] = []
-    placements: list[ObjectPlacement] = []
-
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header, error = _read_rows(reader, 1)
-        if error is not None:
-            raise _read_error(error, path, 1)
-        if not header:
-            raise SessionLoadError("empty file, expected canonical header", path, 1)
-        if [h.strip() for h in header[0]] != CSV_HEADER:
-            raise SessionLoadError(
-                f"malformed header {header[0]!r}, expected {CSV_HEADER!r}", path, 1
-            )
-        line_no = 2
-        while True:
-            rows, error = _read_rows(reader, _CHUNK_ROWS)
-            t, x, y, n_dropped = _parse_rows(rows, line_no, path, geometry, placements, events)
-            kept.append((t, x, y))
-            dropped += n_dropped
-            if error is not None:
-                raise _read_error(error, path, line_no + len(rows))
-            if len(rows) < _CHUNK_ROWS:
-                break
-            line_no += len(rows)
-
-    t, x, y = (np.concatenate(column) for column in zip(*kept))
+    batches, placements, events = _one_pass(path, geometry) or _batches(path, geometry)
+    t, x, y, drops = zip(*batches)
+    t, x, y = map(np.concatenate, (t, x, y))
+    dropped = sum(drops)
     if not len(t):
         log.warning("%s: no valid gaze samples (dropped=%d)", path, dropped)
     order = np.argsort(t, kind="stable")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .ingest import GameEvent
@@ -132,27 +133,14 @@ def _deviations(values: list[float]) -> list[float]:
     return [v / peak for v in d]
 
 
-def _pearson(m: list[float], t: list[float]) -> float | None:
-    # Constancy is tested on the values: the rounded mean of a constant
-    # series leaves tiny non-zero deviations.
-    if _constant(m) or _constant(t):
-        return None
-    dm = _deviations(m)
-    dt = _deviations(t)
+def _r(dm: Sequence[float], dt: Sequence[float]) -> float:
+    """The product-moment correlation of two ``_deviations`` series."""
     r = _dot(dm, dt) / (math.sqrt(_dot(dm, dm)) * math.sqrt(_dot(dt, dt)))
     # Rounding can carry r a few ulps past +/-1.
     return min(1.0, max(-1.0, r))
 
 
-def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
-    """Product-moment correlation in [-1, 1]; None when either series is constant."""
-    m, t = _paired(model, truth)
-    if len(m) < 2:
-        raise ValueError("need at least two pairs")
-    return _pearson(m, t)
-
-
-def _average_ranks(values: list[float]) -> list[float]:
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks with ties receiving the average of their positions."""
     n = len(values)
     order = sorted(range(n), key=values.__getitem__)
@@ -169,16 +157,56 @@ def _average_ranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def _spearman(m: list[float], t: list[float]) -> float | None:
-    if _constant(m) or _constant(t):
+@lru_cache(maxsize=64)
+def _truth_half(t: tuple[float, ...]) -> tuple[tuple, tuple, tuple, bool] | None:
+    """What the correlations use of the second series alone, None for a
+    constant one: its deviations, its ranks, their deviations, and whether
+    its values are distinct.
+
+    Re-scoring pairs many model series with one truth series, so this is
+    kept per series. 0.0 and -0.0 share a key, and the correlations cannot
+    tell them apart: ranks treat them as equal, and a zero deviation of
+    either sign adds nothing to a product sum.
+    """
+    values = list(t)
+    # Constancy is tested on the values: the rounded mean of a constant
+    # series leaves tiny non-zero deviations.
+    if _constant(values):
         return None
+    ranks = _average_ranks(values)
+    distinct = len(set(values)) == len(values)
+    return tuple(_deviations(values)), tuple(ranks), tuple(_deviations(ranks)), distinct
+
+
+def _correlations(m: list[float], t: list[float]) -> tuple[float | None, float | None]:
+    """Pearson's r and Spearman's rho (see ``spearman``) of two or more
+    pairs, each None when either series is constant."""
+    truth = _truth_half(tuple(t))
+    if truth is None or _constant(m):
+        return None, None
+    dt, rt, drt, t_distinct = truth
     n = len(m)
     rm = _average_ranks(m)
-    rt = _average_ranks(t)
-    if len(set(m)) == n and len(set(t)) == n:
+    if t_distinct and len(set(m)) == n:
         d = [a - b for a, b in zip(rm, rt)]
-        return 1 - 6 * _dot(d, d) / (n * (n * n - 1))
-    return _pearson(rm, rt)
+        rho = 1 - 6 * _dot(d, d) / (n * (n * n - 1))
+    else:
+        rho = _r(_deviations(rm), drt)
+    return _r(_deviations(m), dt), rho
+
+
+def _two_or_more(
+    model: Sequence[float], truth: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    m, t = _paired(model, truth)
+    if len(m) < 2:
+        raise ValueError("need at least two pairs")
+    return m, t
+
+
+def pearson(model: Sequence[float], truth: Sequence[float]) -> float | None:
+    """Product-moment correlation in [-1, 1]; None when either series is constant."""
+    return _correlations(*_two_or_more(model, truth))[0]
 
 
 def spearman(model: Sequence[float], truth: Sequence[float]) -> float | None:
@@ -188,10 +216,7 @@ def spearman(model: Sequence[float], truth: Sequence[float]) -> float | None:
     otherwise the product-moment formula is applied to the rank vectors.
     Constant series make the coefficient undefined (None).
     """
-    m, t = _paired(model, truth)
-    if len(m) < 2:
-        raise ValueError("need at least two pairs")
-    return _spearman(m, t)
+    return _correlations(*_two_or_more(model, truth))[1]
 
 
 def validate_scores(
@@ -200,11 +225,12 @@ def validate_scores(
     """Error metrics plus correlations, with undefined values left as None."""
     m, t = _paired(model, truth)
     n = len(m)
+    pearson_r, spearman_rho = _correlations(m, t) if n >= 2 else (None, None)
     return ValidationReport(
         mae_pct=_mae(m, t),
         rmse_pct=_rmse(m, t),
-        pearson_r=_pearson(m, t) if n >= 2 else None,
-        spearman_rho=_spearman(m, t) if n >= 2 else None,
+        pearson_r=pearson_r,
+        spearman_rho=spearman_rho,
         n=n,
     )
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +355,58 @@ class TestUnreadableInput:
         with pytest.raises(SessionLoadError) as exc:
             load_level_csv(path, 1, "s1")
         assert (exc.value.line, exc.value.fieldname) == (2, "object_pos")
+
+
+class TestDocumentedErrorPositions:
+    """The README "Input format" examples. These files go to the batch
+    reader, whose line numbers and precedence they pin."""
+
+    def _path(self, tmp_path, body: bytes):
+        path = tmp_path / "s1_level1.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + body)
+        return path
+
+    def test_quoted_two_line_cell_puts_row_errors_behind(self, tmp_path):
+        # The cell spans physical lines 2-3, so physical line 5 is record 4.
+        path = self._path(tmp_path, b'0,"(3,\n4)",,,,,\n1,"(5, 5)",,,,,\n2,,,,,junk,true\n')
+        with pytest.raises(SessionLoadError, match="unknown event kind") as exc:
+            load_level_csv(path, 1, "s1")
+        assert (exc.value.line, exc.value.fieldname) == (4, "event_kind")
+
+    def test_bad_byte_in_the_same_block_wins(self, tmp_path):
+        gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(5))
+        path = self._path(tmp_path, b'0,"(3, 4)",,,,,\n1,,,,,junk,true\n' + gaze + b"9,\xff,,,,,\n")
+        with pytest.raises(SessionLoadError, match="not UTF-8") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 9
+
+    def test_bad_byte_blocks_later_loses(self, tmp_path):
+        gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(2000))
+        path = self._path(tmp_path, b'0,"(3, 4)",,,,,\n1,,,,,junk,true\n' + gaze + b"9,\xff,,,,,\n")
+        with pytest.raises(SessionLoadError, match="unknown event kind") as exc:
+            load_level_csv(path, 1, "s1")
+        assert (exc.value.line, exc.value.fieldname) == (3, "event_kind")
+
+
+@pytest.mark.parametrize(
+    "body", ['1\x00,"(5, 5)",,,,,\n2,"(6, 6)",,,,,\n', '1,"(5,\x00 5)",,,,,\n2,"(6, 6)",,,,,\n'],
+    ids=["timestamp", "gaze"],
+)
+def test_nul_follows_the_csv_module(tmp_path, body):
+    """Python 3.10's csv rejects a NUL; 3.11 and later read it as a character.
+    The loader agrees with the reference loader on either."""
+    path = tmp_path / "s1_level1.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + body, encoding="utf-8")
+    if sys.version_info < (3, 11):
+        with pytest.raises(SessionLoadError, match="NUL") as exc:
+            load_level_csv(path, 1, "s1")
+        with pytest.raises(SessionLoadError) as want:
+            oracles.load_level_csv(path, 1, "s1")
+        assert (str(exc.value), exc.value.line) == (str(want.value), want.value.line)
+    else:
+        session = load_level_csv(path, 1, "s1")
+        assert session == oracles.load_level_csv(path, 1, "s1")
+        assert (len(session.samples), session.dropped_samples) == (1, 1)
 
 
 class TestBatchEdges:

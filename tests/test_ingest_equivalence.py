@@ -1,18 +1,26 @@
-"""The batch loader against the record-based reference loader.
+"""The loader against the record-based reference loader.
 
 Arbitrary row text under the canonical header must give either equal
 sessions (sample columns, drop count, events, placements) from both, or
 the same SessionLoadError (message, line and field) from both. Any other
-exception fails the test. Each case draws the loader's batch size too
-(1, 2, 7 rows or the default), so rows fall on batch edges.
+exception fails the test. Each case runs on both of the loader's paths:
+as loaded (the one-pass reader where it takes the file) and with the
+batch reader forced. Each case draws the batch size too (1, 2, 7 rows or
+the default, and as many bytes per one-pass block), so rows fall on batch
+and block edges.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import importlib.util
 import io
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gazescore import ingest
@@ -84,15 +92,23 @@ def _outcome(load, path, geometry):
         return ("error", str(exc), exc.line, exc.fieldname)
 
 
+def _path_outcomes(path, geometry, chunk):
+    """The outcome as loaded and with the batch reader forced; ``chunk`` sets
+    the batch rows and the one-pass block bytes."""
+    batch_only = mock.patch.object(ingest, "_one_pass", return_value=None)
+    for path_choice in (contextlib.nullcontext(), batch_only):
+        with path_choice, mock.patch.multiple(ingest, _CHUNK_ROWS=chunk, _SLICE_BYTES=chunk):
+            yield _outcome(load_level_csv, path, geometry)
+
+
 def _check_same(path, geometry, chunk=ingest._CHUNK_ROWS):
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
-        got = _outcome(load_level_csv, path, geometry)
     want = _outcome(oracles.load_level_csv, path, geometry)
-    assert got == want
-    if not isinstance(got, tuple):
-        samples = got.samples
-        assert samples.t_ms.dtype == np.int64
-        assert samples.x_px.dtype == samples.y_px.dtype == np.float64
+    for got in _path_outcomes(path, geometry, chunk):
+        assert got == want
+        if not isinstance(got, tuple):
+            samples = got.samples
+            assert samples.t_ms.dtype == np.int64
+            assert samples.x_px.dtype == samples.y_px.dtype == np.float64
 
 
 def _check_text(tmp_path_factory, rows, geometry, crlf, chunk):
@@ -155,3 +171,151 @@ def test_pair_halves_in_adjacent_cells_stay_apart(tmp_path):
     session = load_level_csv(path, 2, "s")
     assert session.dropped_samples == 4
     assert session.samples.x_px.tolist() == [7.0]
+
+
+HEADER = ",".join(CSV_HEADER)
+LIMIT = csv.field_size_limit()
+# Characters that str.splitlines breaks on but csv and the one-pass reader
+# keep inside a cell.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x85\u2028"
+
+# Whole files, and whether the one-pass reader takes them.
+PATH_CHOICE = [
+    ("quote_in_timestamp", HEADER + '\n1"2,"(5, 5)",,,,,\n3,"(6, 6)",,,,,\n', False),
+    ("quoted_timestamp", HEADER + '\n"1","(5, 5)",,,,,\n2,,"(480, 810)",200,150,,\n', True),
+    ("lone_cr", HEADER + '\n1,"(5, 5)",,,,,\r2,"(6, 6)",,,,,\n3,,,,,junk,true\n', False),
+    ("lone_cr_at_end", HEADER + '\n1,"(5, 5)",,,,,\n2,"(6, 6)",,,,,\r', False),
+    *[
+        (f"u{ord(c):04x}_in_cells",
+         HEADER + f'\n{c}1,"(5, {c}5)",,,,,\n2{c},"(6, 6)",,,{c},,\n3,"(7, 7)",,,,answer{c},true\n',
+         True)
+        for c in SPLITLINES_ONLY
+    ],
+    ("quoted_two_lines", HEADER + '\n1,"(5,\n5)",,,,,\n2,"(6, 6)",,,,,\n3,,,,,junk,true\n', False),
+    ("doubled_quote", HEADER + '\n1,"(5, ""5)",,,,,\n2,"(6, 6)",,,,,\n', False),
+    ("cell_at_limit", HEADER + '\n1,"' + "5" * LIMIT + '",,,,,\n2,"(6, 6)",,,,,\n', False),
+    ("blank_lines_no_final_newline",
+     HEADER + '\n\n1,"(5, 5)",,,,,\n\n \n\r\n2,"(6, 6)",,,,,\n3,"(7, 7)",,,,,', True),
+    ("crlf_header_lf_data", HEADER + '\r\n1,"(5, 5)",,,,,\n2,"(6, 6)",,,,,\n', True),
+    ("quoted_header", HEADER.replace("gaze", '"gaze"') + '\n1,"(5, 5)",,,,,\n', False),
+    ("header_only", HEADER + "\r\n", False),
+    ("lone_cr_in_header", HEADER.replace(",gaze", ",gaze\r") + '\n1,"(5, 5)",,,,,\n', False),
+    ("nul_in_timestamp", HEADER + '\n1\x00,"(5, 5)",,,,,\n2,"(6, 6)",,,,,\n', False),
+    ("nul_in_gaze", HEADER + '\n1,"(5,\x00 5)",,,,,\n2,"(6, 6)",,,,,\n', False),
+]
+
+
+@pytest.mark.parametrize(
+    "text,one_pass", [case[1:] for case in PATH_CHOICE], ids=[case[0] for case in PATH_CHOICE]
+)
+def test_path_choice(tmp_path, text, one_pass):
+    path = tmp_path / "s_level2.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (ingest._one_pass(path, GEOMETRIES[0]) is not None) == one_pass
+    for chunk in (1, 7, ingest._CHUNK_ROWS):
+        _check_same(path, GEOMETRIES[0], chunk)
+
+
+@pytest.mark.parametrize(
+    "later,line",
+    [(b"9,\xff,,,,,\n", 9), (b'9,"(5, 5)",,,,,\r10,"(6, 6)",,,,,\n', 3),
+     (b'9,"(5,\n5)",,,,,\n', 3)],
+    ids=["bad_byte", "lone_cr", "quoted_two_lines"],
+)
+def test_faulty_row_before_a_declined_block(tmp_path, later, line):
+    """A faulty row found on the one-pass path is not reported before the
+    rest of the file is known to read the same way on the batch path: the
+    byte on line 9 wins over the bad event kind on line 3, as documented.
+    The reference loader lets a decoding error through, so the paths are
+    checked against each other."""
+    gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(5))
+    body = b'0,"(3, 4)",,,,,\n1,,,,,junk,true\n' + gaze + later + b"11,,,,,junk,true\n"
+    path = tmp_path / "s_level2.csv"
+    path.write_bytes(HEADER.encode() + b"\n" + body)
+    outcomes = {
+        got for chunk in (1, 7, ingest._CHUNK_ROWS)
+        for got in _path_outcomes(path, GEOMETRIES[0], chunk)
+    }
+    assert [outcome[2] for outcome in outcomes] == [line]
+
+
+def test_cell_over_limit_on_both_paths(tmp_path):
+    """The reference loader lets the CSV reader's own error through, so the
+    paths are checked against the documented error."""
+    path = tmp_path / "s_level2.csv"
+    text = HEADER + '\n1,"(6, 6)",,,,,\n2,"' + "5" * (LIMIT + 1) + '",,,,,\n'
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest._one_pass(path, GEOMETRIES[0]) is None
+    message = f"unreadable CSV row: field larger than field limit ({LIMIT}) [{path}:3]"
+    for chunk in (1, 7, ingest._CHUNK_ROWS):
+        for got in _path_outcomes(path, GEOMETRIES[0], chunk):
+            assert got == ("error", message, 3, "")
+
+
+PLAIN_ROW = st.builds(lambda t, x, y: f'{t},"({x}, {y})",,,,,', TIMESTAMPS, NUMBERS, NUMBERS)
+OTHER_ROW = st.sampled_from(
+    ['4,,"(480, 810)",200,150,,', "5,,,,,answer,true", "6,,,,,other,", '7," (5, 5)",,,,,', ""]
+)
+INSERTS = st.sampled_from(
+    ['"', '""', "\r", "\r\n", "\n", ",", " ", "\x00", *SPLITLINES_ONLY]
+)
+SPLICED_ROW = st.builds(
+    lambda row, at, insert: row[: at % (len(row) + 1)] + insert + row[at % (len(row) + 1):],
+    st.one_of(PLAIN_ROW, OTHER_ROW),
+    st.integers(0, 40),
+    INSERTS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.one_of(PLAIN_ROW, PLAIN_ROW, OTHER_ROW, SPLICED_ROW), max_size=30),
+    geometry=st.sampled_from(GEOMETRIES),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    chunk=CHUNKS,
+)
+def test_spliced_lines_match_reference(tmp_path_factory, rows, geometry, ending, final, chunk):
+    """Plain lines and lines with one character spliced in, which may or
+    may not keep the file one record per line."""
+    text = HEADER + ending + ending.join(rows) + (ending if final else "")
+    path = tmp_path_factory.mktemp("splice") / "s_level2.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _check_same(path, geometry, chunk)
+
+
+def _tracker():
+    """``perfbench/tracker.py``, the seeded model of a real tracker's log."""
+    name = "perfbench_tracker"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parents[1] / "perfbench" / "tracker.py"
+        )
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# Between them, these seeds write every malformed cell of the model.
+TRACKER_SEEDS = (15, 24)
+
+
+def test_tracker_logs_match_reference(tmp_path):
+    """CRLF, fractional epoch timestamps, blinks, out-of-bounds points,
+    every malformed cell the model writes and rows without a timestamp."""
+    tracker = _tracker()
+    seen = set()
+    for seed in TRACKER_SEEDS:
+        path = tmp_path / f"t{seed}_level2.csv"
+        log = tracker.write_level_log(path, seed)
+        text = path.read_text(encoding="utf-8")
+        seen.update(
+            cell for cell in tracker.MALFORMED_CELLS if f",{cell}," in text or f',"{cell}",' in text
+        )
+        seen.update("no timestamp" for line in text.splitlines() if line.startswith(","))
+        assert ingest._one_pass(path, GEOMETRIES[0]) is not None
+        _check_same(path, GEOMETRIES[0])
+        session = load_level_csv(path, 2, "s")
+        assert session.dropped_samples == log.dropped
+        assert list(session.samples) == [ingest.GazeSample(*v) for v in log.valid]
+    assert seen == {*tracker.MALFORMED_CELLS, "no timestamp"}

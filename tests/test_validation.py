@@ -314,6 +314,48 @@ class TestAgainstNumpyOracle:
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
+class TestTruthHalfCache:
+    """The truth series' half of the correlations is kept per series: cold
+    and warm calls give the oracle's figures bit for bit."""
+
+    # Tied, tie-free and constant truth series, each under more than one
+    # model series; a truth series with 0.0 and then one with -0.0 share a
+    # key, and their mean is 0, so their deviations keep the zero's sign.
+    CASES = [
+        ([60.0, 70.0, 80.0], [50.0, 100.0, 100.0]),
+        ([80.0, 75.5, 60.0], [50.0, 100.0, 100.0]),
+        ([1.0, 2.0, 3.0], [0.0, 1.0, -1.0]),
+        ([3.0, 3.0, 2.0], [-0.0, 1.0, -1.0]),
+        ([2.0, 1.0, 3.0], [-0.0, 1.0, -1.0]),
+        ([1.0, 2.0, 3.0], [40.0, 40.0, 40.0]),
+        ([99.7, 99.0, 98.9], [94.4, 97.8, 87.2]),
+        ([50.0, 50.0, 50.0], [94.4, 97.8, 87.2]),
+    ]
+
+    @staticmethod
+    def _hex(module, m, t):
+        return [None if v is None else v.hex() for v in _metrics(module, m, t)]
+
+    def test_cold_and_warm_calls_match_oracle(self):
+        for m, t in self.CASES:
+            want = self._hex(oracles, m, t)
+            validation._truth_half.cache_clear()
+            assert self._hex(validation, m, t) == want
+            assert self._hex(validation, m, t) == want
+
+    def test_entries_found_by_later_series_match_oracle(self):
+        validation._truth_half.cache_clear()
+        for m, t in self.CASES:
+            assert self._hex(validation, m, t) == self._hex(oracles, m, t)
+        assert validation._truth_half.cache_info().hits > 0
+
+    def test_signed_zero_keys_share_an_entry(self):
+        validation._truth_half.cache_clear()
+        validate_scores([1.0, 2.0, 3.0], [0.0, 1.0, -1.0])
+        validate_scores([1.0, 2.0, 3.0], [-0.0, 1.0, -1.0])
+        assert validation._truth_half.cache_info().currsize == 1
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("metric", [validate_scores, mae, rmse, pearson, spearman])
