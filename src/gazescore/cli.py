@@ -8,6 +8,7 @@ import argparse
 import functools
 import logging
 import math
+import os
 import re
 import sys
 from dataclasses import fields
@@ -89,9 +90,9 @@ def _discover_sessions(
     if not in_dir.is_dir():
         raise FileNotFoundError(f"input directory not found: {in_dir}")
     found = [
-        (path, match.group("student"), int(match.group("level")))
-        for path in sorted(in_dir.iterdir())
-        if (match := _SESSION_FILE_RE.match(path.name))
+        (in_dir / name, match.group("student"), int(match.group("level")))
+        for name in sorted(os.listdir(in_dir))
+        if (match := _SESSION_FILE_RE.match(name))
     ]
     if not found:
         raise FileNotFoundError(

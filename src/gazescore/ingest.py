@@ -17,7 +17,7 @@ import logging
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -79,6 +79,9 @@ _BLANK_ROW = ("",) * len(CSV_HEADER)
 
 # Kept t, x and y columns and the drop count of one batch of rows.
 _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+# The fields of a placement or an event as read, the time before the
+# level's offset is taken off.
+_Facet = tuple
 
 _TRUE_VALUES = {"true", "1", "yes"}
 _FALSE_VALUES = {"false", "0", "no"}
@@ -193,10 +196,12 @@ class ObjectPlacement:
     aoi_h_px: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.aoi_w_px < math.inf and 0 < self.aoi_h_px < math.inf):
-            raise ValueError(
-                f"AoI dimensions must be positive and finite, got {self.aoi_w_px}x{self.aoi_h_px}"
-            )
+        _check_aoi_size(self.aoi_w_px, self.aoi_h_px)
+
+
+def _check_aoi_size(w: float, h: float) -> None:
+    if not (0 < w < math.inf and 0 < h < math.inf):
+        raise ValueError(f"AoI dimensions must be positive and finite, got {w}x{h}")
 
 
 @dataclass(frozen=True)
@@ -321,10 +326,11 @@ def _add_facets(
     t_ms: int | None,
     path: Path,
     line_no: int,
-    placements: list[ObjectPlacement],
-    events: list[GameEvent],
+    placements: list[_Facet],
+    events: list[_Facet],
 ) -> None:
-    """Append the placement and the scored event one row carries, if any."""
+    """Append the fields of the placement and the scored event one row
+    carries, if any, after the checks their constructors make."""
     _, _, object_pos, aoi_w, aoi_h, event_kind, event_correct = row
     object_pos = object_pos.strip()
     if object_pos:
@@ -345,9 +351,10 @@ def _add_facets(
                 f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
             ) from exc
         try:
-            placements.append(ObjectPlacement(t_ms, ox, oy, w, h))
+            _check_aoi_size(w, h)
         except ValueError as exc:
             raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
+        placements.append((t_ms, ox, oy, w, h))
 
     event_kind = event_kind.strip()
     if event_kind and event_kind != "other":
@@ -367,7 +374,7 @@ def _add_facets(
                 line_no,
                 "event_correct",
             )
-        events.append(GameEvent(t_ms, event_kind, correct))
+        events.append((t_ms, event_kind, correct))
 
 
 def _kept(
@@ -379,8 +386,8 @@ def _kept(
     first_line: int,
     path: Path,
     geometry: ScreenGeometry,
-    placements: list[ObjectPlacement],
-    events: list[GameEvent],
+    placements: list[_Facet],
+    events: list[_Facet],
 ) -> _Batch:
     """Kept t, x and y columns (file order) and the drop count of a batch of
     rows, the first of them on line ``first_line``, from each row's timestamp
@@ -431,8 +438,8 @@ def _parse_rows(
     first_line: int,
     path: Path,
     geometry: ScreenGeometry,
-    placements: list[ObjectPlacement],
-    events: list[GameEvent],
+    placements: list[_Facet],
+    events: list[_Facet],
 ) -> _Batch:
     """``_kept`` of a batch of CSV rows: timestamps and gaze cells run as
     whole columns, a row of the wrong length as a blank one."""
@@ -485,8 +492,8 @@ def _parse_lines(
     first_line: int,
     path: Path,
     geometry: ScreenGeometry,
-    placements: list[ObjectPlacement],
-    events: list[GameEvent],
+    placements: list[_Facet],
+    events: list[_Facet],
 ) -> _Batch:
     """``_kept`` of lines that ``_plain_lines`` took apart: only the lines
     that are not plain gaze lines go through ``csv.reader``."""
@@ -555,7 +562,7 @@ def _line_blocks(path: Path) -> Iterator[tuple[int, list[list[str | None]] | Non
 
 def _one_pass(
     path: Path, geometry: ScreenGeometry
-) -> tuple[list[_Batch], list[ObjectPlacement], list[GameEvent]] | None:
+) -> tuple[list[_Batch], list[_Facet], list[_Facet]] | None:
     """``_parse_lines`` of every block, with the placements and events, or
     None when the file has no data lines or some block or the header is not
     for the one-pass reader.
@@ -565,8 +572,8 @@ def _one_pass(
     it, since the batch reader numbers the later lines otherwise or may stop
     at a bad byte first.
     """
-    placements: list[ObjectPlacement] = []
-    events: list[GameEvent] = []
+    placements: list[_Facet] = []
+    events: list[_Facet] = []
     batches: list[_Batch] = []
     blocks = _line_blocks(path)
     try:
@@ -583,11 +590,11 @@ def _one_pass(
 
 def _batches(
     path: Path, geometry: ScreenGeometry
-) -> tuple[list[_Batch], list[ObjectPlacement], list[GameEvent]]:
+) -> tuple[list[_Batch], list[_Facet], list[_Facet]]:
     """``_parse_rows`` of each batch of ``_CHUNK_ROWS`` rows of the CSV
     reader, which reads any file, with the placements and events."""
-    placements: list[ObjectPlacement] = []
-    events: list[GameEvent] = []
+    placements: list[_Facet] = []
+    events: list[_Facet] = []
     batches: list[_Batch] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -656,16 +663,16 @@ def load_level_csv(
     offset = int(t[order[0]]) if len(t) else 0
     samples = SampleColumns._adopt(t[order] - offset, x[order], y[order])
 
-    def shifted(items):
-        ordered = sorted(items, key=operator.attrgetter("t_ms"))
-        return tuple(replace(item, t_ms=item.t_ms - offset) for item in ordered)
+    def shifted(kind, facets):
+        ordered = sorted(facets, key=operator.itemgetter(0))
+        return tuple(kind(facet[0] - offset, *facet[1:]) for facet in ordered)
 
     return LevelSession(
         student_id=student_id,
         level=level,
         samples=samples,
-        events=shifted(events),
-        placements=shifted(placements),
+        events=shifted(GameEvent, events),
+        placements=shifted(ObjectPlacement, placements),
         geometry=geometry,
         dropped_samples=dropped,
     )

@@ -300,6 +300,34 @@ def _parse_bool(text: str) -> bool | None:
     return None
 
 
+def _csv_records(reader, path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) per CSV record, counting records from 1; a row the
+    reader rejects or a byte that is not UTF-8 ends it with the documented
+    SessionLoadError."""
+    line_no = 0
+    while True:
+        line_no += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise SessionLoadError(f"unreadable CSV row: {exc}", path, line_no) from exc
+        except UnicodeDecodeError:
+            # The reader decodes blocks ahead of the rows: report the first
+            # bad byte of the file, on its physical line.
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                raise SessionLoadError(
+                    f"not UTF-8 text: {whole.reason} at byte {whole.start}",
+                    path,
+                    data[: whole.start].count(b"\n") + 1,
+                ) from None
+        yield line_no, row
+
+
 def load_level_csv(
     path: str | Path,
     level: int,
@@ -318,16 +346,16 @@ def load_level_csv(
     placements: list[tuple[int, ObjectPlacement]] = []
 
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        rows = _csv_records(csv.reader(fh), path)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise SessionLoadError("empty file, expected canonical header", path, 1)
         if [h.strip() for h in header] != CSV_HEADER:
             raise SessionLoadError(
                 f"malformed header {header!r}, expected {CSV_HEADER!r}", path, 1
             )
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(CSV_HEADER):

@@ -14,6 +14,7 @@ from gazescore import cli
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from gazescore.ingest import CSV_HEADER, merge_levels
 from gazescore.scoring import ScoringConfig
+from gazescore.spatial import ScreenGeometry
 from gazescore.synth import SynthProfile, generate_session, write_session_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -165,6 +166,56 @@ class TestAnalyze:
         code = main(["analyze", "--in", str(fixture_dir), "--out", str(tmp_path / "o"),
                      "--config", str(config_path)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "blocked", ["report_S10.json.tmp", "plots/S10/samples_level2.csv.tmp"]
+    )
+    def test_unwritable_output_is_io_error(self, fixture_dir, tmp_path, capsys, blocked):
+        """A directory where a staged file goes: exit 3 with the message the
+        open that ``open(path, "w")`` makes would give."""
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        with pytest.raises(OSError) as opened:
+            open(out / blocked, "w")
+        code = main(["analyze", "--in", str(fixture_dir), "--out", str(out)])
+        assert code == EXIT_IO
+        assert f"i/o error: {opened.value}\n" in capsys.readouterr().err
+
+
+SESSION_TEXT = ",".join(CSV_HEADER) + '\n0,"(5, 5)",,,,,\n'
+
+
+def test_discovery_order(tmp_path, monkeypatch):
+    """Session files load in the string order of their names; other names
+    in the directory are passed over."""
+    for name in ["b_level2.csv", "B_level1.csv", "a_level3.csv", "a_level1.csv",
+                 "a_level4.csv", "a_level1.csv.tmp", "a_level1.CSV", "notes.txt"]:
+        (tmp_path / name).write_text(SESSION_TEXT)
+    loaded = []
+    load = cli.load_level_csv
+    monkeypatch.setattr(
+        cli, "load_level_csv", lambda path, *args: loaded.append(path) or load(path, *args)
+    )
+    session_set = cli._discover_sessions(tmp_path, None, None, ScreenGeometry())
+    names = ["B_level1.csv", "a_level1.csv", "a_level3.csv", "b_level2.csv"]
+    assert loaded == [tmp_path / name for name in names]
+    assert list(session_set.sessions) == [("B", 1), ("a", 1), ("a", 3), ("b", 2)]
+
+
+@pytest.mark.parametrize("names, student, level, message", [
+    ([], None, None, "no session files matching '<student>_level<1|2|3>.csv' in {}"),
+    (["notes.txt", "a_level4.csv"], "a", 1,
+     "no session files matching '<student>_level<1|2|3>.csv' in {}"),
+    (["a_level1.csv"], "b", None, "no session files for --student b in {}"),
+    (["a_level1.csv"], None, 2, "no session files for --level 2 in {}"),
+    (["a_level1.csv", "b_level2.csv"], "a", 2, "no session files for --student a --level 2 in {}"),
+])
+def test_discovery_messages(tmp_path, names, student, level, message):
+    for name in names:
+        (tmp_path / name).write_text(SESSION_TEXT)
+    with pytest.raises(FileNotFoundError) as missing:
+        cli._discover_sessions(tmp_path, student, level, ScreenGeometry())
+    assert str(missing.value) == message.format(tmp_path)
 
 
 def _run_cli(*args):

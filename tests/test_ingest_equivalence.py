@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import importlib.util
 import io
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -226,8 +223,7 @@ def test_faulty_row_before_a_declined_block(tmp_path, later, line):
     """A faulty row found on the one-pass path is not reported before the
     rest of the file is known to read the same way on the batch path: the
     byte on line 9 wins over the bad event kind on line 3, as documented.
-    The reference loader lets a decoding error through, so the paths are
-    checked against each other."""
+    Both paths and the reference loader give that error."""
     gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(5))
     body = b'0,"(3, 4)",,,,,\n1,,,,,junk,true\n' + gaze + later + b"11,,,,,junk,true\n"
     path = tmp_path / "s_level2.csv"
@@ -237,16 +233,17 @@ def test_faulty_row_before_a_declined_block(tmp_path, later, line):
         for got in _path_outcomes(path, GEOMETRIES[0], chunk)
     }
     assert [outcome[2] for outcome in outcomes] == [line]
+    assert outcomes == {_outcome(oracles.load_level_csv, path, GEOMETRIES[0])}
 
 
 def test_cell_over_limit_on_both_paths(tmp_path):
-    """The reference loader lets the CSV reader's own error through, so the
-    paths are checked against the documented error."""
+    """Both paths and the reference loader give the documented error."""
     path = tmp_path / "s_level2.csv"
     text = HEADER + '\n1,"(6, 6)",,,,,\n2,"' + "5" * (LIMIT + 1) + '",,,,,\n'
     path.write_bytes(text.encode("utf-8"))
     assert ingest._one_pass(path, GEOMETRIES[0]) is None
     message = f"unreadable CSV row: field larger than field limit ({LIMIT}) [{path}:3]"
+    assert _outcome(oracles.load_level_csv, path, GEOMETRIES[0]) == ("error", message, 3, "")
     for chunk in (1, 7, ingest._CHUNK_ROWS):
         for got in _path_outcomes(path, GEOMETRIES[0], chunk):
             assert got == ("error", message, 3, "")
@@ -284,26 +281,13 @@ def test_spliced_lines_match_reference(tmp_path_factory, rows, geometry, ending,
     _check_same(path, geometry, chunk)
 
 
-def _tracker():
-    """``perfbench/tracker.py``, the seeded model of a real tracker's log."""
-    name = "perfbench_tracker"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            name, Path(__file__).resolve().parents[1] / "perfbench" / "tracker.py"
-        )
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 # Between them, these seeds write every malformed cell of the model.
 TRACKER_SEEDS = (15, 24)
 
 
-def test_tracker_logs_match_reference(tmp_path):
+def test_tracker_logs_match_reference(tmp_path, tracker):
     """CRLF, fractional epoch timestamps, blinks, out-of-bounds points,
     every malformed cell the model writes and rows without a timestamp."""
-    tracker = _tracker()
     seen = set()
     for seed in TRACKER_SEEDS:
         path = tmp_path / f"t{seed}_level2.csv"

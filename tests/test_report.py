@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gazescore import report as report_module
 from gazescore.ingest import LevelSession
 from gazescore.pipeline import analyze_session, analyze_student
 from gazescore.report import build_report, emit_plot_data, write_report
@@ -233,3 +238,54 @@ class TestEmptySessionReport:
         assert block["game"] is None
         assert block["assessment"]["calibration"] is None
         assert block["score"]["final_score"] == 0.0
+
+
+class TestStagedWrite:
+    """``_atomic_write`` against ``open(path, "w", encoding="utf-8", newline="\\n")``."""
+
+    def test_same_bytes_and_mode_as_open(self, tmp_path):
+        texts = ["t_ms,x_px\n", "", "0,\u00e9\r\n"]
+        old_umask = os.umask(0o002)
+        try:
+            report_module._atomic_write(tmp_path / "staged.csv", texts)
+            with open(tmp_path / "opened.csv", "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(texts)
+        finally:
+            os.umask(old_umask)
+        staged, opened = (tmp_path / "staged.csv").stat(), (tmp_path / "opened.csv").stat()
+        assert stat.S_IMODE(staged.st_mode) == stat.S_IMODE(opened.st_mode) == 0o664
+        assert (tmp_path / "staged.csv").read_bytes() == (tmp_path / "opened.csv").read_bytes()
+        assert not (tmp_path / "staged.csv.tmp").exists()
+
+    def test_stale_staged_file_is_truncated(self, tmp_path):
+        """A longer ``.tmp`` left by a failed write does not leak its tail."""
+        (tmp_path / "out.csv.tmp").write_text("left over from a failed write\n")
+        report_module._atomic_write(tmp_path / "out.csv", ["new\n"])
+        assert (tmp_path / "out.csv").read_text() == "new\n"
+
+    def test_short_writes_are_resumed(self, tmp_path):
+        write = os.write
+        with mock.patch.object(report_module.os, "write",
+                               lambda fd, data: write(fd, data[:3])):
+            report_module._atomic_write(tmp_path / "out.csv", ["abcdefgh\n", "ij\n"])
+        assert (tmp_path / "out.csv").read_bytes() == b"abcdefgh\nij\n"
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "samples_level1.csv"
+        target.write_text("old\n")
+        write, calls = os.write, []
+
+        def fail_second(fd, data):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        with mock.patch.object(report_module.os, "write", fail_second):
+            with pytest.raises(OSError) as failed:
+                report_module._atomic_write(target, ["first\n", "second\n"])
+        assert failed.value.errno == errno.ENOSPC
+        with pytest.raises(OSError):
+            os.fstat(calls[0])  # closed
+        assert target.read_text() == "old\n"
+        assert (tmp_path / "samples_level1.csv.tmp").read_text() == "first\n"
