@@ -27,7 +27,8 @@ from .report import build_report, emit_plot_data, write_report
 from .scoring import ETA_SOURCES, ConfigError, ScoringConfig, read_config_json
 from .spatial import ScreenGeometry
 from .synth import (
-    ProfileError, SynthProfile, generate_session, generate_table_fixture, write_session_set,
+    ProfileError, SynthProfile, check_student_id, generate_session, generate_table_fixture,
+    write_session_set,
 )
 from .validation import mae
 
@@ -82,6 +83,14 @@ def _period_lengths(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated whole ms: {text!r}") from None
+
+
+def _student_id(text: str) -> str:
+    """argparse type of synth --student: an id ``check_student_id`` takes."""
+    try:
+        return check_student_id(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _discover_sessions(
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", default="synth-out", help="output directory")
     synth.add_argument("--fixture", default=None,
                        help=f"named fixture to generate ({_FIXTURE}); takes no profile flags")
-    synth.add_argument("--student", default=None)
+    synth.add_argument("--student", type=_student_id, default=None)
     # Profile flags: each given one sets its SynthProfile field.
     synth.add_argument("--seed", type=int)
     synth.add_argument("--level", type=int, choices=VALID_LEVELS)

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import logging
 import math
 import operator
 import re
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from functools import partial
+from itertools import chain, compress, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,8 +64,8 @@ _GAZE_LINES_RE = re.compile(
 # (about 40 us) more often.
 _CHUNK_ROWS = 512
 
-# The one-pass reader reads, decodes and parses the file in blocks of about
-# this many bytes, each cut after a line break, for the same reason.
+# The reader reads, decodes and parses the file in blocks of about this many
+# bytes, each cut after a line break, for the same reason.
 _SLICE_BYTES = 24 * 1024
 
 # One match per line: the timestamp, x and y text of a plain gaze line,
@@ -378,26 +380,27 @@ def _add_facets(
 
 
 def _kept(
+    path: Path,
+    geometry: ScreenGeometry,
+    placements: list[_Facet],
+    events: list[_Facet],
+    lines: Sequence[int],
     ts_cells: Sequence[str | None],
     xs: Sequence[str | None],
     ys: Sequence[str | None],
     rest: Sequence[str],
     visits: list[tuple[int, list[str]]],
-    first_line: int,
-    path: Path,
-    geometry: ScreenGeometry,
-    placements: list[_Facet],
-    events: list[_Facet],
 ) -> _Batch:
     """Kept t, x and y columns (file order) and the drop count of a batch of
-    rows, the first of them on line ``first_line``, from each row's timestamp
-    cell and x and y text (empty or None without a coordinate pair). ``rest``
-    holds the leftover text of gaze cells that are not a pair (see
-    ``_gaze_fields``); each non-empty one is a dropped reading.
+    rows, row i's record starting on line ``lines[i]`` (lines end as the CSV
+    reader ends them), from each row's timestamp cell and x and y text
+    (empty or None without a coordinate pair). ``rest`` holds the leftover
+    text of gaze cells that are not a pair (see ``_gaze_fields``); each
+    non-empty one is a dropped reading.
 
     ``visits`` are the (index, row) pairs, in file order, of the rows of the
-    wrong length or with a placement or event cell. They are the only rows
-    visited one by one, so the first error is the first faulty row's.
+    wrong length or with a placement or event cell, the only rows visited
+    one by one: the first error is the first faulty row's.
     """
     width = len(CSV_HEADER)
     t = np.array(_timestamp_values(ts_cells), dtype=np.float64)
@@ -409,12 +412,10 @@ def _kept(
     for i, row in visits:
         if len(row) != width:
             if any(cell.strip() for cell in row):
-                raise SessionLoadError(
-                    f"expected {width} fields, got {len(row)}", path, first_line + i
-                )
+                raise SessionLoadError(f"expected {width} fields, got {len(row)}", path, lines[i])
             continue
         t_row = int(t_ms[i]) if usable[i] else None
-        _add_facets(row, t_row, path, first_line + i, placements, events)
+        _add_facets(row, t_row, path, lines[i], placements, events)
 
     parsed = np.fromiter(map(bool, xs), dtype=bool, count=len(xs))
     x = np.zeros(len(xs))
@@ -433,16 +434,9 @@ def _kept(
     return t_ms[keep], x[keep], y[keep], dropped
 
 
-def _parse_rows(
-    rows: list[list[str]],
-    first_line: int,
-    path: Path,
-    geometry: ScreenGeometry,
-    placements: list[_Facet],
-    events: list[_Facet],
-) -> _Batch:
-    """``_kept`` of a batch of CSV rows: timestamps and gaze cells run as
-    whole columns, a row of the wrong length as a blank one."""
+def _parse_rows(rows: list[list[str]]) -> tuple:
+    """The cells ``_kept`` takes of a batch of CSV rows: timestamps and gaze
+    cells run as whole columns, a row of the wrong length as a blank one."""
     width = len(CSV_HEADER)
     lengths = list(map(len, rows))
     if lengths.count(width) == len(rows):
@@ -456,9 +450,7 @@ def _parse_rows(
     indices = range(len(rows))
     visit.update(compress(indices, object_cells), compress(indices, kind_cells))
     visits = [(i, rows[i]) for i in sorted(visit)]
-    return _kept(
-        ts_cells, *_gaze_fields(gaze_cells), visits, first_line, path, geometry, placements, events
-    )
+    return ts_cells, *_gaze_fields(gaze_cells), visits
 
 
 def _plain_lines(text: str) -> list[list[str | None]] | None:
@@ -471,9 +463,9 @@ def _plain_lines(text: str) -> list[list[str | None]] | None:
     if text.endswith("\r"):
         return None
     # One match, four groups and the line break after it per line; a final
-    # line break leaves one more, empty match.
+    # line break leaves one more, empty match, and so does empty text.
     parts = _PLAIN_LINES_RE.split(text)
-    stop = len(parts) - 5 * text.endswith("\n")
+    stop = len(parts) - 5 * (not text or text.endswith("\n"))
     columns = [parts[k:stop:5] for k in range(1, 5)]
     others = "\n".join(filter(None, columns[3]))
     limit = csv.field_size_limit()
@@ -487,16 +479,9 @@ def _plain_lines(text: str) -> list[list[str | None]] | None:
     return columns
 
 
-def _parse_lines(
-    columns: list[list[str | None]],
-    first_line: int,
-    path: Path,
-    geometry: ScreenGeometry,
-    placements: list[_Facet],
-    events: list[_Facet],
-) -> _Batch:
-    """``_kept`` of lines that ``_plain_lines`` took apart: only the lines
-    that are not plain gaze lines go through ``csv.reader``."""
+def _parse_lines(columns: list[list[str | None]]) -> tuple:
+    """The cells ``_kept`` takes of lines that ``_plain_lines`` took apart:
+    only the lines that are not plain gaze lines go through ``csv.reader``."""
     ts_cells, xs, ys, other = columns
     odd = list(compress(range(len(other)), other))
     visits = list(zip(odd, csv.reader(map(other.__getitem__, odd))))
@@ -504,119 +489,88 @@ def _parse_lines(
     odd_xs, odd_ys, rest = _gaze_fields(tuple(row[1] for _, row in full))
     for (i, row), x, y in zip(full, odd_xs, odd_ys):
         ts_cells[i], xs[i], ys[i] = row[0], x, y
-    return _kept(ts_cells, xs, ys, rest, visits, first_line, path, geometry, placements, events)
+    return ts_cells, xs, ys, rest, visits
 
 
-def _read_rows(reader, size: int) -> tuple[list[list[str]], Exception | None]:
-    """Up to ``size`` rows, and the read error that cut them short, if any."""
-    rows: list[list[str]] = []
-    try:
-        rows.extend(islice(reader, size))  # keeps the rows before a failure
-    except (csv.Error, UnicodeDecodeError) as exc:
-        return rows, exc
-    return rows, None
-
-
-def _read_error(exc: Exception, path: Path, line_no: int) -> SessionLoadError:
-    if isinstance(exc, UnicodeDecodeError):
-        # The reader decodes ahead of the rows, so find the byte in the file.
-        data = path.read_bytes()
+def _text_blocks(fh) -> Iterator[str]:
+    """The text of each block of about ``_SLICE_BYTES`` bytes of a binary
+    file, cut after a "\n". At a byte that is not UTF-8 it yields the text
+    before that byte's line instead, then raises the UnicodeDecodeError with
+    ``start`` set to the byte's offset in the file."""
+    while data := fh.read(_SLICE_BYTES):
+        if not data.endswith(b"\n"):
+            data += fh.readline()
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            return SessionLoadError(
-                f"not UTF-8 text: {whole.reason} at byte {whole.start}",
-                path,
-                data.count(b"\n", 0, whole.start) + 1,
-            )
-    return SessionLoadError(f"unreadable CSV row: {exc}", path, line_no)
+            yield data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+            yield data[:cut].decode("utf-8")
+            exc.start += fh.tell() - len(data)
+            raise exc
 
 
-def _line_blocks(path: Path) -> Iterator[tuple[int, list[list[str | None]] | None]]:
-    """The first line and the ``_plain_lines`` columns of each block of the
-    data lines; None, and nothing after it, for a block or a header that the
-    one-pass reader does not take (bytes that are not UTF-8 included)."""
+def _not_utf8(exc: UnicodeDecodeError, path: Path, line: int) -> SessionLoadError:
+    return SessionLoadError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path, line)
+
+
+def _read(path: Path, kept: Callable[..., _Batch]) -> Iterator[_Batch]:
+    """``kept(lines, *cells)`` of each batch of a level file: plain blocks by
+    ``_parse_lines``; from the first block that is not plain (line 1 if the
+    header is not one plain line), the rest by one CSV reader and
+    ``_parse_rows``, ``_CHUNK_ROWS`` records at a time."""
     with path.open("rb") as fh:
-        header = fh.readline()
-        try:
-            fields = header.decode("utf-8").rstrip("\r\n").split(",")
-        except UnicodeDecodeError:
-            fields = []
-        lone_cr = header.count(b"\r") != header.endswith(b"\r\n")
-        if lone_cr or [h.strip() for h in fields] != CSV_HEADER:
-            yield 2, None
-            return
-        line_no = 2
-        while data := fh.read(_SLICE_BYTES):
-            if not data.endswith(b"\n"):
-                data += fh.readline()
+        blocks = _text_blocks(fh)
+        block = next(blocks, "")
+        header, _, rest = block.partition("\n")
+        fields = [h.strip() for h in header.split(",")]
+        line_no = 1
+        if "\r" not in header.removesuffix("\r") and fields == CSV_HEADER:
+            line_no = 2
             try:
-                columns = _plain_lines(data.decode("utf-8"))
-            except UnicodeDecodeError:
-                columns = None
-            yield line_no, columns
-            if columns is None:
-                return
-            line_no += len(columns[0])
+                for block in chain((rest,), blocks):
+                    columns = _plain_lines(block)
+                    if columns is None:
+                        break
+                    lines = range(line_no, line_no + len(columns[0]))
+                    yield kept(lines, *_parse_lines(columns))
+                    line_no = lines.stop
+                else:
+                    return
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(exc, path, line_no) from None
 
-
-def _one_pass(
-    path: Path, geometry: ScreenGeometry
-) -> tuple[list[_Batch], list[_Facet], list[_Facet]] | None:
-    """``_parse_lines`` of every block, with the placements and events, or
-    None when the file has no data lines or some block or the header is not
-    for the one-pass reader.
-
-    The answer is the batch reader's: a faulty row is reported only once the
-    rest of the file has proved to split into lines as the CSV reader splits
-    it, since the batch reader numbers the later lines otherwise or may stop
-    at a bad byte first.
-    """
-    placements: list[_Facet] = []
-    events: list[_Facet] = []
-    batches: list[_Batch] = []
-    blocks = _line_blocks(path)
-    try:
-        for line_no, columns in blocks:
-            if columns is None:
-                return None
-            batches.append(_parse_lines(columns, line_no, path, geometry, placements, events))
-    except SessionLoadError:
-        if all(columns is not None for _, columns in blocks):
-            raise
-        return None
-    return (batches, placements, events) if batches else None
-
-
-def _batches(
-    path: Path, geometry: ScreenGeometry
-) -> tuple[list[_Batch], list[_Facet], list[_Facet]]:
-    """``_parse_rows`` of each batch of ``_CHUNK_ROWS`` rows of the CSV
-    reader, which reads any file, with the placements and events."""
-    placements: list[_Facet] = []
-    events: list[_Facet] = []
-    batches: list[_Batch] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header, error = _read_rows(reader, 1)
-        if error is not None:
-            raise _read_error(error, path, 1)
-        if not header:
-            raise SessionLoadError("empty file, expected canonical header", path, 1)
-        if [h.strip() for h in header[0]] != CSV_HEADER:
-            raise SessionLoadError(
-                f"malformed header {header[0]!r}, expected {CSV_HEADER!r}", path, 1
-            )
-        line_no = 2
-        while True:
-            rows, error = _read_rows(reader, _CHUNK_ROWS)
-            batches.append(_parse_rows(rows, line_no, path, geometry, placements, events))
+        texts = chain((block,), blocks)
+        reader = csv.reader(chain.from_iterable(io.StringIO(t, newline="") for t in texts))
+        before, at_header, count = line_no - 1, line_no == 1, _CHUNK_ROWS
+        while count == _CHUNK_ROWS:
+            # ``rows`` keeps the last batch until this one is read: freed first, its
+            # lists would not offset this batch's in the gen-0 count, which stops at 0.
+            read: list[list[str]] = []
+            lines: list[int] = []
+            line = before + reader.line_num + 1
+            error = None
+            try:
+                for row in islice(reader, _CHUNK_ROWS):
+                    read.append(row)
+                    lines.append(line)
+                    line = before + reader.line_num + 1
+            except csv.Error as exc:
+                error = SessionLoadError(f"unreadable CSV row: {exc}", path, line)
+            except UnicodeDecodeError as exc:
+                error = _not_utf8(exc, path, before + reader.line_num + 1)
+            rows, count = read, len(read)
+            if at_header:
+                if not rows:
+                    raise error or SessionLoadError("empty file, expected canonical header", path, 1)
+                if [h.strip() for h in rows[0]] != CSV_HEADER:
+                    raise SessionLoadError(
+                        f"malformed header {rows[0]!r}, expected {CSV_HEADER!r}", path, 1
+                    )
+                del rows[0], lines[0]
+                at_header = False
+            yield kept(lines, *_parse_rows(rows))
             if error is not None:
-                raise _read_error(error, path, line_no + len(rows))
-            if len(rows) < _CHUNK_ROWS:
-                break
-            line_no += len(rows)
-    return batches, placements, events
+                raise error
 
 
 def load_level_csv(
@@ -635,17 +589,18 @@ def load_level_csv(
     Malformed event or placement fields are structural errors and raise
     SessionLoadError with file, line and field context, as do bytes that
     are not UTF-8 and rows the CSV reader rejects (a field over its size
-    limit). Row and field errors count lines by CSV record (a quoted cell
-    spanning lines puts them behind), non-UTF-8 errors by physical line,
-    and a non-UTF-8 byte wins over a faulty row earlier in its 8 KB block.
+    limit). Errors come in file order, each raised as soon as it is met;
+    each names the line where its record or bad byte starts, lines ended
+    as the CSV reader ends them ("\n", "\r\n" or a lone "\r").
 
-    A file with a one-line canonical header whose every line is one CSV
-    record (UTF-8, no NUL, every "\r" before a "\n", every '"' around a
-    whole cell on one line, no line over the CSV field limit) is read in one
-    pass, one block of about 24 KB of decoded text (1 B per character for
-    ASCII) at a time: one regular expression takes the plain gaze lines
-    apart and the CSV reader only the others. Any other file goes through
-    the CSV reader whole. Both give the same results and errors.
+    The file is read once, one block of about 24 KB (cut after a line
+    break) at a time. A block is plain when each of its lines is one CSV
+    record (no NUL, every "\r" before a "\n", every '"' around a whole
+    cell on one line, no line over the CSV field limit): one regular
+    expression takes its plain gaze lines apart and the CSV reader only
+    the others. From the first block that is not plain (from line 1 when
+    the header is not one plain line), the rest of the file goes through
+    the CSV reader, one decoded block at a time.
     """
     path = Path(path)
     if level not in VALID_LEVELS:
@@ -653,8 +608,8 @@ def load_level_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such session file: {path}")
 
-    batches, placements, events = _one_pass(path, geometry) or _batches(path, geometry)
-    t, x, y, drops = zip(*batches)
+    placements, events = [], []
+    t, x, y, drops = zip(*_read(path, partial(_kept, path, geometry, placements, events)))
     t, x, y = map(np.concatenate, (t, x, y))
     dropped = sum(drops)
     if not len(t):

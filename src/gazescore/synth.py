@@ -9,6 +9,7 @@ same session.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -414,8 +415,18 @@ def generate_table_fixture(student_id: str = "S10") -> SessionSet:
     return merge_levels(sessions)
 
 
+def check_student_id(student_id: str) -> str:
+    """The id, unless it is empty, "." or ".." or holds a path separator
+    (ValueError): its ``<student>_level<k>.csv`` must stay in its directory."""
+    if student_id in ("", ".", "..") or {"/", os.sep, os.altsep} & set(student_id):
+        raise ValueError(f"student id must name a file in the output directory: {student_id!r}")
+    return student_id
+
+
 def write_session_set(session_set: SessionSet, out_dir: str | Path) -> list[Path]:
     """Write every session as ``<student>_level<k>.csv`` under out_dir."""
+    for student, _ in session_set.sessions:
+        check_student_id(student)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

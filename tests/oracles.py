@@ -17,6 +17,7 @@ in ``gazescore.validation`` replaced.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -300,32 +301,42 @@ def _parse_bool(text: str) -> bool | None:
     return None
 
 
-def _csv_records(reader, path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) per CSV record, counting records from 1; a row the
-    reader rejects or a byte that is not UTF-8 ends it with the documented
-    SessionLoadError."""
-    line_no = 0
+def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) per CSV record of the whole file, in file order,
+    each numbered by the physical line it starts on, as the CSV reader ends
+    lines ("\n", "\r\n" or a lone "\r"). A row the reader rejects ends it
+    with the documented SessionLoadError; so does a byte that is not UTF-8,
+    after the records before that byte's line."""
+    data = path.read_bytes()
+    try:
+        text, bad_byte = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        text = head[: max(head.rfind("\n"), head.rfind("\r")) + 1]
+        bad_byte = SessionLoadError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+            path,
+            len(io.StringIO(text, newline="").readlines()) + 1,
+        )
+
+    def lines() -> Iterator[str]:
+        yield from io.StringIO(text, newline="")
+        if bad_byte is not None:
+            # Raised from the line source, so the reader drops a record the
+            # bad byte's line leaves open rather than yield it as ended.
+            raise bad_byte
+
+    reader = csv.reader(lines())
+    line_no = 1
     while True:
-        line_no += 1
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             raise SessionLoadError(f"unreadable CSV row: {exc}", path, line_no) from exc
-        except UnicodeDecodeError:
-            # The reader decodes blocks ahead of the rows: report the first
-            # bad byte of the file, on its physical line.
-            data = path.read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as whole:
-                raise SessionLoadError(
-                    f"not UTF-8 text: {whole.reason} at byte {whole.start}",
-                    path,
-                    data[: whole.start].count(b"\n") + 1,
-                ) from None
         yield line_no, row
+        line_no = reader.line_num + 1
 
 
 def load_level_csv(
@@ -345,73 +356,70 @@ def load_level_csv(
     events: list[tuple[int, GameEvent]] = []
     placements: list[tuple[int, ObjectPlacement]] = []
 
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = _csv_records(csv.reader(fh), path)
-        try:
-            _, header = next(rows)
-        except StopIteration:
-            raise SessionLoadError("empty file, expected canonical header", path, 1)
-        if [h.strip() for h in header] != CSV_HEADER:
+    rows = _csv_records(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise SessionLoadError("empty file, expected canonical header", path, 1)
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise SessionLoadError(f"malformed header {header!r}, expected {CSV_HEADER!r}", path, 1)
+    for line_no, row in rows:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(CSV_HEADER):
             raise SessionLoadError(
-                f"malformed header {header!r}, expected {CSV_HEADER!r}", path, 1
+                f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line_no
             )
-        for line_no, row in rows:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(CSV_HEADER):
+        ts_text, gaze, object_pos, aoi_w, aoi_h, event_kind, event_correct = (
+            cell.strip() for cell in row
+        )
+        t_ms = _parse_timestamp(ts_text)
+
+        if gaze:
+            records.append(RawRecord(timestamp_ms=t_ms, gaze_text=gaze))
+
+        if object_pos:
+            if t_ms is None:
                 raise SessionLoadError(
-                    f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line_no
+                    "placement row without timestamp", path, line_no, "timestamp_ms"
                 )
-            ts_text, gaze, object_pos, aoi_w, aoi_h, event_kind, event_correct = (
-                cell.strip() for cell in row
-            )
-            t_ms = _parse_timestamp(ts_text)
+            try:
+                ox, oy = parse_coordinate_string(object_pos)
+            except CoordinateParseError as exc:
+                raise SessionLoadError(str(exc), path, line_no, "object_pos") from exc
+            try:
+                w = float(aoi_w)
+                h = float(aoi_h)
+            except ValueError as exc:
+                raise SessionLoadError(
+                    f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
+                ) from exc
+            try:
+                placement = ObjectPlacement(
+                    t_ms=t_ms, obj_x_px=ox, obj_y_px=oy, aoi_w_px=w, aoi_h_px=h
+                )
+            except ValueError as exc:
+                raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
+            placements.append((t_ms, placement))
 
-            if gaze:
-                records.append(RawRecord(timestamp_ms=t_ms, gaze_text=gaze))
-
-            if object_pos:
-                if t_ms is None:
-                    raise SessionLoadError(
-                        "placement row without timestamp", path, line_no, "timestamp_ms"
-                    )
-                try:
-                    ox, oy = parse_coordinate_string(object_pos)
-                except CoordinateParseError as exc:
-                    raise SessionLoadError(str(exc), path, line_no, "object_pos") from exc
-                try:
-                    w = float(aoi_w)
-                    h = float(aoi_h)
-                except ValueError as exc:
-                    raise SessionLoadError(
-                        f"bad AoI dimensions {aoi_w!r}x{aoi_h!r}", path, line_no, "aoi_w"
-                    ) from exc
-                try:
-                    placement = ObjectPlacement(
-                        t_ms=t_ms, obj_x_px=ox, obj_y_px=oy, aoi_w_px=w, aoi_h_px=h
-                    )
-                except ValueError as exc:
-                    raise SessionLoadError(str(exc), path, line_no, "aoi_w") from exc
-                placements.append((t_ms, placement))
-
-            if event_kind and event_kind != "other":
-                if event_kind not in EVENT_KINDS_SCORED:
-                    raise SessionLoadError(
-                        f"unknown event kind {event_kind!r}", path, line_no, "event_kind"
-                    )
-                if t_ms is None:
-                    raise SessionLoadError(
-                        "event row without timestamp", path, line_no, "timestamp_ms"
-                    )
-                correct = _parse_bool(event_correct)
-                if correct is None:
-                    raise SessionLoadError(
-                        f"bad event_correct value {event_correct!r}",
-                        path,
-                        line_no,
-                        "event_correct",
-                    )
-                events.append((t_ms, GameEvent(t_ms=t_ms, kind=event_kind, correct=correct)))
+        if event_kind and event_kind != "other":
+            if event_kind not in EVENT_KINDS_SCORED:
+                raise SessionLoadError(
+                    f"unknown event kind {event_kind!r}", path, line_no, "event_kind"
+                )
+            if t_ms is None:
+                raise SessionLoadError(
+                    "event row without timestamp", path, line_no, "timestamp_ms"
+                )
+            correct = _parse_bool(event_correct)
+            if correct is None:
+                raise SessionLoadError(
+                    f"bad event_correct value {event_correct!r}",
+                    path,
+                    line_no,
+                    "event_correct",
+                )
+            events.append((t_ms, GameEvent(t_ms=t_ms, kind=event_kind, correct=correct)))
 
     samples, dropped = clean_samples(records, geometry)
     offset = samples[0].t_ms if samples else 0

@@ -77,6 +77,20 @@ class TestSynth:
         ).read_bytes()
 
 
+    @pytest.mark.parametrize("student", ["../x", "a/b", "..", ".", ""])
+    @pytest.mark.parametrize("fixture", [[], ["--fixture", "case-study"]], ids=["profile", "fixture"])
+    def test_student_id_outside_out_is_a_usage_error(self, tmp_path, capsys, fixture, student):
+        """An id that would name a file outside --out, or in a directory
+        under it, is refused before anything is written."""
+        work = tmp_path / "work"
+        work.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", *fixture, "--student", student, "--out", str(work / "out")])
+        assert exc.value.code == 2
+        assert "argument --student: student id must name a file" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [work]
+
+
 class TestAnalyze:
     def test_full_run(self, fixture_dir, tmp_path):
         out = tmp_path / "out"

@@ -358,27 +358,28 @@ class TestUnreadableInput:
 
 
 class TestDocumentedErrorPositions:
-    """The README "Input format" examples. These files go to the batch
-    reader, whose line numbers and precedence they pin."""
+    """The README "Input format" examples: errors come in file order, each
+    on the line where its record or byte starts, lines ended as the CSV
+    reader ends them."""
 
     def _path(self, tmp_path, body: bytes):
         path = tmp_path / "s1_level1.csv"
         path.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + body)
         return path
 
-    def test_quoted_two_line_cell_puts_row_errors_behind(self, tmp_path):
-        # The cell spans physical lines 2-3, so physical line 5 is record 4.
+    def test_quoted_two_line_cell_keeps_physical_lines(self, tmp_path):
+        # The cell spans physical lines 2-3; the faulty row is on line 5.
         path = self._path(tmp_path, b'0,"(3,\n4)",,,,,\n1,"(5, 5)",,,,,\n2,,,,,junk,true\n')
         with pytest.raises(SessionLoadError, match="unknown event kind") as exc:
             load_level_csv(path, 1, "s1")
-        assert (exc.value.line, exc.value.fieldname) == (4, "event_kind")
+        assert (exc.value.line, exc.value.fieldname) == (5, "event_kind")
 
-    def test_bad_byte_in_the_same_block_wins(self, tmp_path):
+    def test_faulty_row_wins_over_later_bad_byte_in_its_block(self, tmp_path):
         gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(5))
         path = self._path(tmp_path, b'0,"(3, 4)",,,,,\n1,,,,,junk,true\n' + gaze + b"9,\xff,,,,,\n")
-        with pytest.raises(SessionLoadError, match="not UTF-8") as exc:
+        with pytest.raises(SessionLoadError, match="unknown event kind") as exc:
             load_level_csv(path, 1, "s1")
-        assert exc.value.line == 9
+        assert (exc.value.line, exc.value.fieldname) == (3, "event_kind")
 
     def test_bad_byte_blocks_later_loses(self, tmp_path):
         gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(2000))
@@ -386,6 +387,12 @@ class TestDocumentedErrorPositions:
         with pytest.raises(SessionLoadError, match="unknown event kind") as exc:
             load_level_csv(path, 1, "s1")
         assert (exc.value.line, exc.value.fieldname) == (3, "event_kind")
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        path = self._path(tmp_path, b'0,"(3, 4)",,,,,\r1,"(5, 5)",,,,,\r2,\xff,,,,,\n')
+        with pytest.raises(SessionLoadError, match="not UTF-8") as exc:
+            load_level_csv(path, 1, "s1")
+        assert exc.value.line == 4
 
 
 @pytest.mark.parametrize(

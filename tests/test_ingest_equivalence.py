@@ -3,17 +3,21 @@
 Arbitrary row text under the canonical header must give either equal
 sessions (sample columns, drop count, events, placements) from both, or
 the same SessionLoadError (message, line and field) from both. Any other
-exception fails the test. Each case runs on both of the loader's paths:
-as loaded (the one-pass reader where it takes the file) and with the
-batch reader forced. Each case draws the batch size too (1, 2, 7 rows or
-the default, and as many bytes per one-pass block), so rows fall on batch
-and block edges.
+exception fails the test. Errors come in file order; each names the line
+where its record or bad byte starts, with lines ended as the CSV reader
+ends them. Each case runs as loaded (plain blocks through the line parser,
+the rest of the file from the first block that is not plain through the
+CSV reader) and with the CSV route forced from data block k, k drawn or
+looped from 0. Each case draws the batch size too (1, 2, 7 rows or the
+default, and as many bytes per block), so rows fall on batch and block
+edges.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -89,18 +93,39 @@ def _outcome(load, path, geometry):
         return ("error", str(exc), exc.line, exc.fieldname)
 
 
-def _path_outcomes(path, geometry, chunk):
-    """The outcome as loaded and with the batch reader forced; ``chunk`` sets
-    the batch rows and the one-pass block bytes."""
-    batch_only = mock.patch.object(ingest, "_one_pass", return_value=None)
-    for path_choice in (contextlib.nullcontext(), batch_only):
-        with path_choice, mock.patch.multiple(ingest, _CHUNK_ROWS=chunk, _SLICE_BYTES=chunk):
+def _csv_from_block(k):
+    """Patch the plain route to decline data block k (counting from 0) and
+    so hand that block and the rest of the file to the CSV reader."""
+    plain_lines = ingest._plain_lines
+    calls = itertools.count()
+    return mock.patch.object(
+        ingest, "_plain_lines", lambda text: None if next(calls) >= k else plain_lines(text)
+    )
+
+
+# The blocks the fixed cases force the CSV route from.
+CSV_FROM = (0, 1, 2)
+
+
+def _path_outcomes(path, geometry, chunk, csv_from=CSV_FROM):
+    """The outcome as loaded and with the CSV route forced from each block
+    in ``csv_from``; ``chunk`` sets the batch rows and the block bytes."""
+    routes = [contextlib.nullcontext(), *map(_csv_from_block, csv_from)]
+    for route in routes:
+        with route, mock.patch.multiple(ingest, _CHUNK_ROWS=chunk, _SLICE_BYTES=chunk):
             yield _outcome(load_level_csv, path, geometry)
 
 
-def _check_same(path, geometry, chunk=ingest._CHUNK_ROWS):
+def _takes_csv_route(path):
+    """Whether the loader sets a CSV reader on the rest of the file's blocks."""
+    with mock.patch.object(ingest, "chain", wraps=itertools.chain) as spy:
+        _outcome(load_level_csv, path, GEOMETRIES[0])
+    return spy.from_iterable.called
+
+
+def _check_same(path, geometry, chunk=ingest._CHUNK_ROWS, csv_from=CSV_FROM):
     want = _outcome(oracles.load_level_csv, path, geometry)
-    for got in _path_outcomes(path, geometry, chunk):
+    for got in _path_outcomes(path, geometry, chunk, csv_from):
         assert got == want
         if not isinstance(got, tuple):
             samples = got.samples
@@ -108,16 +133,18 @@ def _check_same(path, geometry, chunk=ingest._CHUNK_ROWS):
             assert samples.x_px.dtype == samples.y_px.dtype == np.float64
 
 
-def _check_text(tmp_path_factory, rows, geometry, crlf, chunk):
+def _check_text(tmp_path_factory, rows, geometry, crlf, chunk, csv_from):
     text = ",".join(CSV_HEADER) + "\n" + _row_lines(rows)
     if crlf:
         text = text.replace("\n", "\r\n")
     path = tmp_path_factory.mktemp("fuzz") / "s_level2.csv"
     path.write_bytes(text.encode("utf-8"))
-    _check_same(path, geometry, chunk)
+    _check_same(path, geometry, chunk, (csv_from,))
 
 
 CHUNKS = st.sampled_from([1, 2, 7, ingest._CHUNK_ROWS])
+# The data block the CSV route is forced from.
+BLOCKS = st.integers(0, 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,9 +153,10 @@ CHUNKS = st.sampled_from([1, 2, 7, ingest._CHUNK_ROWS])
     geometry=st.sampled_from(GEOMETRIES),
     crlf=st.booleans(),
     chunk=CHUNKS,
+    csv_from=BLOCKS,
 )
-def test_gaze_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk):
-    _check_text(tmp_path_factory, rows, geometry, crlf, chunk)
+def test_gaze_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk, csv_from):
+    _check_text(tmp_path_factory, rows, geometry, crlf, chunk, csv_from)
 
 
 @settings(max_examples=300, deadline=None)
@@ -139,9 +167,10 @@ def test_gaze_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk
     geometry=st.sampled_from(GEOMETRIES),
     crlf=st.booleans(),
     chunk=CHUNKS,
+    csv_from=BLOCKS,
 )
-def test_any_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk):
-    _check_text(tmp_path_factory, rows, geometry, crlf, chunk)
+def test_any_rows_match_reference(tmp_path_factory, rows, geometry, crlf, chunk, csv_from):
+    _check_text(tmp_path_factory, rows, geometry, crlf, chunk, csv_from)
 
 
 def test_many_ties_keep_file_order(tmp_path):
@@ -172,11 +201,12 @@ def test_pair_halves_in_adjacent_cells_stay_apart(tmp_path):
 
 HEADER = ",".join(CSV_HEADER)
 LIMIT = csv.field_size_limit()
-# Characters that str.splitlines breaks on but csv and the one-pass reader
-# keep inside a cell.
+# Characters that str.splitlines breaks on but csv and the plain route keep
+# inside a cell.
 SPLITLINES_ONLY = "\x0b\x0c\x1c\x85\u2028"
 
-# Whole files, and whether the one-pass reader takes them.
+# Whole files, and whether the plain route takes all of them, never handing
+# a block to the CSV reader.
 PATH_CHOICE = [
     ("quote_in_timestamp", HEADER + '\n1"2,"(5, 5)",,,,,\n3,"(6, 6)",,,,,\n', False),
     ("quoted_timestamp", HEADER + '\n"1","(5, 5)",,,,,\n2,,"(480, 810)",200,150,,\n', True),
@@ -195,7 +225,9 @@ PATH_CHOICE = [
      HEADER + '\n\n1,"(5, 5)",,,,,\n\n \n\r\n2,"(6, 6)",,,,,\n3,"(7, 7)",,,,,', True),
     ("crlf_header_lf_data", HEADER + '\r\n1,"(5, 5)",,,,,\n2,"(6, 6)",,,,,\n', True),
     ("quoted_header", HEADER.replace("gaze", '"gaze"') + '\n1,"(5, 5)",,,,,\n', False),
-    ("header_only", HEADER + "\r\n", False),
+    ("quoted_header_faulty_row",
+     HEADER.replace("gaze", '"gaze"') + '\n1,"(5, 5)",,,,,\n2,,,,,junk,true\n', False),
+    ("header_only", HEADER + "\r\n", True),
     ("lone_cr_in_header", HEADER.replace(",gaze", ",gaze\r") + '\n1,"(5, 5)",,,,,\n', False),
     ("nul_in_timestamp", HEADER + '\n1\x00,"(5, 5)",,,,,\n2,"(6, 6)",,,,,\n', False),
     ("nul_in_gaze", HEADER + '\n1,"(5,\x00 5)",,,,,\n2,"(6, 6)",,,,,\n', False),
@@ -203,27 +235,26 @@ PATH_CHOICE = [
 
 
 @pytest.mark.parametrize(
-    "text,one_pass", [case[1:] for case in PATH_CHOICE], ids=[case[0] for case in PATH_CHOICE]
+    "text,plain", [case[1:] for case in PATH_CHOICE], ids=[case[0] for case in PATH_CHOICE]
 )
-def test_path_choice(tmp_path, text, one_pass):
+def test_path_choice(tmp_path, text, plain):
     path = tmp_path / "s_level2.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (ingest._one_pass(path, GEOMETRIES[0]) is not None) == one_pass
+    assert _takes_csv_route(path) != plain
     for chunk in (1, 7, ingest._CHUNK_ROWS):
         _check_same(path, GEOMETRIES[0], chunk)
 
 
 @pytest.mark.parametrize(
-    "later,line",
-    [(b"9,\xff,,,,,\n", 9), (b'9,"(5, 5)",,,,,\r10,"(6, 6)",,,,,\n', 3),
-     (b'9,"(5,\n5)",,,,,\n', 3)],
+    "later",
+    [b"9,\xff,,,,,\n", b'9,"(5, 5)",,,,,\r10,"(6, 6)",,,,,\n', b'9,"(5,\n5)",,,,,\n'],
     ids=["bad_byte", "lone_cr", "quoted_two_lines"],
 )
-def test_faulty_row_before_a_declined_block(tmp_path, later, line):
-    """A faulty row found on the one-pass path is not reported before the
-    rest of the file is known to read the same way on the batch path: the
-    byte on line 9 wins over the bad event kind on line 3, as documented.
-    Both paths and the reference loader give that error."""
+def test_faulty_row_before_a_declined_block(tmp_path, later):
+    """A faulty row is reported as soon as it is met, whatever line 9 holds:
+    the bad event kind on line 3 wins over a bad byte, a lone "\r" or a
+    quoted cell on line 9, as documented. Every route and the reference
+    loader give that error."""
     gaze = b"".join(b'%d,"(3, 4)",,,,,\n' % i for i in range(5))
     body = b'0,"(3, 4)",,,,,\n1,,,,,junk,true\n' + gaze + later + b"11,,,,,junk,true\n"
     path = tmp_path / "s_level2.csv"
@@ -232,16 +263,37 @@ def test_faulty_row_before_a_declined_block(tmp_path, later, line):
         got for chunk in (1, 7, ingest._CHUNK_ROWS)
         for got in _path_outcomes(path, GEOMETRIES[0], chunk)
     }
-    assert [outcome[2] for outcome in outcomes] == [line]
+    assert [outcome[2] for outcome in outcomes] == [3]
     assert outcomes == {_outcome(oracles.load_level_csv, path, GEOMETRIES[0])}
 
 
+@pytest.mark.parametrize(
+    "body,message,line",
+    [
+        (b'0,"(3,\n4)",,,,,\n1,"(5, 5)",,,,,\n2,,,,,junk,true\n', "unknown event kind 'junk'", 5),
+        (b'0,"(3, 4)",,,,,\n1,"(5,\n5)\n\xff",,,,,\n2,,,,,junk,true\n', "not UTF-8 text", 5),
+    ],
+    ids=["junk_after_two_line_cell", "bad_byte_in_open_record"],
+)
+def test_errors_in_file_order_by_line(tmp_path, body, message, line):
+    """Each error names the line where its record or bad byte starts, on
+    every route, with any batch and block size, as the reference loader.
+    A bad byte drops the record its line leaves open: read as ended, that
+    record would be two fields long and give an error on line 3."""
+    path = tmp_path / "s_level2.csv"
+    path.write_bytes(HEADER.encode() + b"\n" + body)
+    want = _outcome(oracles.load_level_csv, path, GEOMETRIES[0])
+    assert want[1].startswith(message) and want[2] == line
+    for chunk in (1, 7, ingest._CHUNK_ROWS):
+        _check_same(path, GEOMETRIES[0], chunk)
+
+
 def test_cell_over_limit_on_both_paths(tmp_path):
-    """Both paths and the reference loader give the documented error."""
+    """Every route and the reference loader give the documented error."""
     path = tmp_path / "s_level2.csv"
     text = HEADER + '\n1,"(6, 6)",,,,,\n2,"' + "5" * (LIMIT + 1) + '",,,,,\n'
     path.write_bytes(text.encode("utf-8"))
-    assert ingest._one_pass(path, GEOMETRIES[0]) is None
+    assert _takes_csv_route(path)
     message = f"unreadable CSV row: field larger than field limit ({LIMIT}) [{path}:3]"
     assert _outcome(oracles.load_level_csv, path, GEOMETRIES[0]) == ("error", message, 3, "")
     for chunk in (1, 7, ingest._CHUNK_ROWS):
@@ -271,14 +323,24 @@ SPLICED_ROW = st.builds(
     ending=st.sampled_from(["\n", "\r\n"]),
     final=st.booleans(),
     chunk=CHUNKS,
+    csv_from=BLOCKS,
+    bad_byte=st.one_of(st.none(), st.integers(0, 1000)),
+    header=st.sampled_from([HEADER, HEADER.replace("gaze", '"gaze"')]),
 )
-def test_spliced_lines_match_reference(tmp_path_factory, rows, geometry, ending, final, chunk):
+def test_spliced_lines_match_reference(
+    tmp_path_factory, rows, geometry, ending, final, chunk, csv_from, bad_byte, header
+):
     """Plain lines and lines with one character spliced in, which may or
-    may not keep the file one record per line."""
-    text = HEADER + ending + ending.join(rows) + (ending if final else "")
+    may not keep the file one record per line, maybe a byte that is not
+    UTF-8, under a plain header or one that sends the file to the CSV
+    route from line 1."""
+    data = (header + ending + ending.join(rows) + (ending if final else "")).encode("utf-8")
+    if bad_byte is not None:
+        at = bad_byte % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
     path = tmp_path_factory.mktemp("splice") / "s_level2.csv"
-    path.write_bytes(text.encode("utf-8"))
-    _check_same(path, geometry, chunk)
+    path.write_bytes(data)
+    _check_same(path, geometry, chunk, (csv_from,))
 
 
 # Between them, these seeds write every malformed cell of the model.
@@ -297,7 +359,7 @@ def test_tracker_logs_match_reference(tmp_path, tracker):
             cell for cell in tracker.MALFORMED_CELLS if f",{cell}," in text or f',"{cell}",' in text
         )
         seen.update("no timestamp" for line in text.splitlines() if line.startswith(","))
-        assert ingest._one_pass(path, GEOMETRIES[0]) is not None
+        assert not _takes_csv_route(path)
         _check_same(path, GEOMETRIES[0])
         session = load_level_csv(path, 2, "s")
         assert session.dropped_samples == log.dropped

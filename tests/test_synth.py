@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gazescore.ingest import GazeSample
+from gazescore.ingest import GazeSample, SessionSet
 from gazescore.pipeline import analyze_session
 from gazescore.spatial import AOI_ORDER, OUTSIDE_CODE, QUADRANT_ORDER, AoiLabel, Quadrant
 from gazescore.synth import (
@@ -13,8 +13,10 @@ from gazescore.synth import (
     ProfileError,
     SynthProfile,
     _fixture_runs,
+    check_student_id,
     generate_session,
     generate_table_fixture,
+    write_session_set,
 )
 
 
@@ -260,3 +262,16 @@ def test_fixture_plan_closes(plan):
     assert aoi == expected_aoi, (
         f"fixture level {plan.level}: {aoi} AoI samples, wanted {expected_aoi}"
     )
+
+
+@pytest.mark.parametrize("student", ["../x", "a/b", "..", ".", ""])
+def test_write_session_set_refuses_an_id_outside_its_directory(tmp_path, student):
+    session = generate_session(SynthProfile(student_id=student))
+    with pytest.raises(ValueError, match="student id must name a file"):
+        write_session_set(SessionSet({(student, session.level): session}), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("student", ["S10", "x..y", ".x", "a b"])
+def test_check_student_id_takes_a_file_name(student):
+    assert check_student_id(student) == student
