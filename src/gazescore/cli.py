@@ -115,6 +115,11 @@ def _discover_sessions(
             found = [entry for entry in found if entry[column] == wanted]
             if not found:
                 raise FileNotFoundError(f"no session files for {' '.join(applied)} in {in_dir}")
+    for path, sid, _ in found:
+        try:
+            check_student_id(sid)
+        except ValueError:
+            raise SessionLoadError(f"file name gives no usable student id {sid!r}", path) from None
     return merge_levels([load_level_csv(path, lvl, sid, geometry) for path, sid, lvl in found])
 
 

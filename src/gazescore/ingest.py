@@ -211,8 +211,10 @@ class LevelSession:
     """Cleaned samples, events and placements for one student at one level.
 
     ``samples`` may be given as a ``GazeSample`` sequence; it is stored
-    as ``SampleColumns``. ``pipeline.analyze_session`` keeps the
-    session's config-independent analysis on the instance, outside the
+    as ``SampleColumns``. Samples (stable for ties), events and placements
+    are stored in time order, the latter two as tuples, whatever order they
+    come in; every stage relies on it. ``pipeline.analyze_session`` keeps
+    the session's config-independent analysis on the instance, outside the
     fields; ``dataclasses.replace`` gives a new instance without it.
     """
 
@@ -227,12 +229,18 @@ class LevelSession:
     def __post_init__(self) -> None:
         if self.level not in VALID_LEVELS:
             raise ValueError(f"level must be in {VALID_LEVELS}, got {self.level}")
-        if not isinstance(self.samples, SampleColumns):
-            samples = tuple(self.samples)
-            columns = SampleColumns(
-                [s.t_ms for s in samples], [s.x_px for s in samples], [s.y_px for s in samples]
-            )
-            object.__setattr__(self, "samples", columns)
+        samples = self.samples
+        if not isinstance(samples, SampleColumns):
+            columns = list(zip(*((s.t_ms, s.x_px, s.y_px) for s in samples))) or [(), (), ()]
+            samples = SampleColumns(*columns)
+        t = samples.t_ms
+        if (t[1:] < t[:-1]).any():
+            order = np.argsort(t, kind="stable")
+            samples = SampleColumns._adopt(t[order], samples.x_px[order], samples.y_px[order])
+        by_time = operator.attrgetter("t_ms")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=by_time)))
+        object.__setattr__(self, "placements", tuple(sorted(self.placements, key=by_time)))
 
 
 @dataclass
@@ -584,8 +592,8 @@ def load_level_csv(
     A gaze reading is dropped and counted when it is (0, 0) (tracking
     loss), fails to parse, falls outside [0, W] x [0, H] or its row has
     no usable timestamp; rows without a gaze reading are not samples.
-    Samples are sorted by timestamp (stable for ties) and shifted so the
-    first sits at 0; events and placements shift by the same offset.
+    Samples, events and placements shift by the offset that puts the
+    earliest sample at 0, and ``LevelSession`` puts them in time order.
     Malformed event or placement fields are structural errors and raise
     SessionLoadError with file, line and field context, as do bytes that
     are not UTF-8 and rows the CSV reader rejects (a field over its size
@@ -614,20 +622,13 @@ def load_level_csv(
     dropped = sum(drops)
     if not len(t):
         log.warning("%s: no valid gaze samples (dropped=%d)", path, dropped)
-    order = np.argsort(t, kind="stable")
-    offset = int(t[order[0]]) if len(t) else 0
-    samples = SampleColumns._adopt(t[order] - offset, x[order], y[order])
-
-    def shifted(kind, facets):
-        ordered = sorted(facets, key=operator.itemgetter(0))
-        return tuple(kind(facet[0] - offset, *facet[1:]) for facet in ordered)
-
+    offset = int(t.min()) if len(t) else 0
     return LevelSession(
         student_id=student_id,
         level=level,
-        samples=samples,
-        events=shifted(GameEvent, events),
-        placements=shifted(ObjectPlacement, placements),
+        samples=SampleColumns._adopt(t - offset, x, y),
+        events=[GameEvent(ti - offset, *rest) for ti, *rest in events],
+        placements=[ObjectPlacement(ti - offset, *rest) for ti, *rest in placements],
         geometry=geometry,
         dropped_samples=dropped,
     )
@@ -647,25 +648,23 @@ def write_level_csv(session: LevelSession, path: str | Path) -> Path:
     """Serialize a session back to the canonical CSV (LF line endings).
 
     Rows run by time; at equal times a placement comes first, then a
-    sample, then an event, each kind in its session order. Reloading the
-    written file yields an identical session, provided the session is
-    normalized (first sample at t=0) as load_level_csv output always is.
+    sample, then an event, each kind in its session order (time order, kept
+    by ``LevelSession``). Reloading the written file gives an identical
+    session if it is normalized (first sample at t=0), as loaded ones are.
     """
     path = Path(path)
-    by_time = operator.attrgetter("t_ms")
     samples = session.samples
-    order = np.argsort(samples.t_ms, kind="stable")
-    t, x, y = (column[order].tolist() for column in (samples.t_ms, samples.x_px, samples.y_px))
+    t, x, y = (column.tolist() for column in (samples.t_ms, samples.x_px, samples.y_px))
     rows = heapq.merge(
         (
             (p.t_ms, 0, f'{p.t_ms},,"{_format_coord(p.obj_x_px, p.obj_y_px)}",'
              f"{_format_number(p.aoi_w_px)},{_format_number(p.aoi_h_px)},,\n")
-            for p in sorted(session.placements, key=by_time)
+            for p in session.placements
         ),
         ((ti, 1, f'{ti},"{_format_coord(xi, yi)}",,,,,\n') for ti, xi, yi in zip(t, x, y)),
         (
             (e.t_ms, 2, f"{e.t_ms},,,,,{e.kind},{'true' if e.correct else 'false'}\n")
-            for e in sorted(session.events, key=by_time)
+            for e in session.events
         ),
     )
     with path.open("w", newline="\n", encoding="utf-8") as fh:

@@ -100,13 +100,13 @@ def sample_times(samples: Sequence[GazeSample] | SampleColumns | np.ndarray) -> 
 def classify_session(session: LevelSession) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample quadrant and AoI codes (int8, read-only) for a session.
 
-    Quadrants split the screen at its center (y above H/2 in the
-    y-up frame is the upper menu half). A sample's AoI is judged against
-    the most recent placement with t_ms <= its time (step function over
-    time-sorted placements): a rectangle centred on the object with half
-    extents w/2 and h/2, closed on all edges and not clipped to the
-    screen. The side comes from the object's horizontal position, not the
-    gaze point's. With no active placement a sample is outside.
+    Quadrants split the screen at its center (y above H/2 in the y-up frame is
+    the upper menu half). A sample's AoI is judged against the most recent
+    placement with t_ms <= its time (step function over the placements,
+    time-sorted by ``LevelSession``): a rectangle centred on the object with
+    half extents w/2 and h/2, closed on all edges and not clipped to the
+    screen. The side comes from the object's horizontal position, not the gaze
+    point's. With no active placement a sample is outside.
     """
     samples = session.samples
     t, x, y = samples.t_ms, samples.x_px, samples.y_px

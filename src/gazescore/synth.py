@@ -169,16 +169,15 @@ def _compile(
 
 def _make_events(
     duration_ms: int, clicks: tuple[int, int], answers: tuple[int, int]
-) -> tuple[GameEvent, ...]:
-    """Evenly spaced events from (total, correct) counts; the incorrect ones
-    sit at the tail slots."""
+) -> list[GameEvent]:
+    """Evenly spaced events from (total, correct) counts, clicks then
+    answers; the incorrect ones sit at the tail slots."""
     events: list[GameEvent] = []
     for kind, (total, correct), phase in (("mouse_click", clicks, 1), ("answer", answers, 2)):
         for i in range(total):
             t = duration_ms * (i + 1) // (total + 2) + phase
             events.append(GameEvent(t_ms=t, kind=kind, correct=i < correct))
-    events.sort(key=lambda e: e.t_ms)
-    return tuple(events)
+    return events
 
 
 def _block(quadrant: Quadrant, items: list[_Run]) -> list[_Run]:
@@ -253,7 +252,6 @@ def generate_session(profile: SynthProfile) -> LevelSession:
     for i in range(max(0, N_OBJECTS - len(placements))):
         ox, oy = _OBJECT[_SIDES[i % 2]]
         placements.append(ObjectPlacement(last - i * dt - dt + 1, ox, oy, AOI_W, AOI_H))
-    placements.sort(key=lambda p: p.t_ms)
 
     events = _make_events(
         duration,
@@ -265,7 +263,7 @@ def generate_session(profile: SynthProfile) -> LevelSession:
         level=profile.level,
         samples=samples,
         events=events,
-        placements=tuple(placements),
+        placements=placements,
         geometry=GEOMETRY,
     )
 
@@ -408,7 +406,7 @@ def generate_table_fixture(student_id: str = "S10") -> SessionSet:
                 level=plan.level,
                 samples=samples,
                 events=events,
-                placements=tuple(placements),
+                placements=placements,
                 geometry=GEOMETRY,
             )
         )

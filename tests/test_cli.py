@@ -232,6 +232,28 @@ def test_discovery_messages(tmp_path, names, student, level, message):
     assert str(missing.value) == message.format(tmp_path)
 
 
+@pytest.mark.parametrize("student", ["..", "."])
+def test_file_name_without_a_usable_student_id(tmp_path, capsys, monkeypatch, student):
+    """Student "." or ".." would put its plot files beside or above its own
+    folder: the run stops before loading or writing, unless a filter passes
+    the file over."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name in ("S1_level1.csv", f"{student}_level1.csv"):
+        (in_dir / name).write_text(SESSION_TEXT)
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_level_csv", lambda *args: pytest.fail("a file was loaded"))
+        assert main(["analyze", "--in", str(in_dir), "--out", str(out)]) == EXIT_DATA
+    path = in_dir / f"{student}_level1.csv"
+    assert capsys.readouterr().err == (
+        f"data error: file name gives no usable student id {student!r} [{path}]\n"
+    )
+    assert not out.exists()
+    assert main(["analyze", "--in", str(in_dir), "--out", str(out), "--student", "S1"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["plots", "report_S1.json"]
+
+
 def _run_cli(*args):
     """``python -m gazescore.cli`` in a fresh process, on this checkout's source."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
