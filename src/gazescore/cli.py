@@ -41,7 +41,8 @@ EXIT_DATA = 4
 EXIT_CONFIG = 5
 
 _LEVEL_NAMES = "|".join(map(str, VALID_LEVELS))
-_SESSION_FILE_RE = re.compile(rf"^(?P<student>.+)_level(?P<level>{_LEVEL_NAMES})\.csv$")
+# Matched to the whole name: a student id may hold a line break (``check_student_id``).
+_SESSION_FILE_RE = re.compile(rf"(?P<student>.+)_level(?P<level>{_LEVEL_NAMES})\.csv", re.DOTALL)
 
 _FIXTURE = "case-study"
 
@@ -101,7 +102,7 @@ def _discover_sessions(
     found = [
         (in_dir / name, match.group("student"), int(match.group("level")))
         for name in sorted(os.listdir(in_dir))
-        if (match := _SESSION_FILE_RE.match(name))
+        if (match := _SESSION_FILE_RE.fullmatch(name))
     ]
     if not found:
         raise FileNotFoundError(

@@ -12,7 +12,6 @@ independently. Coordinate pairs are stored as text like ``"(1250, 680)"``.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import logging
 import math
@@ -461,12 +460,13 @@ def _parse_rows(rows: list[list[str]]) -> tuple:
     return ts_cells, *_gaze_fields(gaze_cells), visits
 
 
-def _plain_lines(text: str) -> list[list[str | None]] | None:
-    """Timestamp, x, y and other-line columns (see ``_PLAIN_LINES_RE``) of
-    whole lines of text, or None unless ``csv.reader`` reads each of the lines
-    as one record: no NUL, every "\r" before a "\n", every '"' opening or
-    closing a whole cell on one line, no line longer than the field limit.
-    A plain gaze line meets these by its form, so only the others are checked.
+def _plain_lines(text: str) -> tuple | None:
+    """The cells ``_kept`` takes of whole lines of text, or None unless
+    ``csv.reader`` reads each of the lines as one record: no NUL, every "\r"
+    before a "\n", every '"' opening or closing a whole cell on one line, no
+    line longer than the field limit. A plain gaze line (see
+    ``_PLAIN_LINES_RE``) meets these by its form, so only the other lines are
+    checked, and only they go through ``csv.reader`` and ``_parse_rows``.
     """
     if text.endswith("\r"):
         return None
@@ -474,8 +474,8 @@ def _plain_lines(text: str) -> list[list[str | None]] | None:
     # line break leaves one more, empty match, and so does empty text.
     parts = _PLAIN_LINES_RE.split(text)
     stop = len(parts) - 5 * (not text or text.endswith("\n"))
-    columns = [parts[k:stop:5] for k in range(1, 5)]
-    others = "\n".join(filter(None, columns[3]))
+    ts_cells, xs, ys, other = (parts[k:stop:5] for k in range(1, 5))
+    others = "\n".join(filter(None, other))
     limit = csv.field_size_limit()
     if (
         "\x00" in others
@@ -484,20 +484,11 @@ def _plain_lines(text: str) -> list[list[str | None]] | None:
         or (len(text) > limit and max(map(len, text.split("\n"))) > limit)
     ):
         return None
-    return columns
-
-
-def _parse_lines(columns: list[list[str | None]]) -> tuple:
-    """The cells ``_kept`` takes of lines that ``_plain_lines`` took apart:
-    only the lines that are not plain gaze lines go through ``csv.reader``."""
-    ts_cells, xs, ys, other = columns
     odd = list(compress(range(len(other)), other))
-    visits = list(zip(odd, csv.reader(map(other.__getitem__, odd))))
-    full = [(i, row) for i, row in visits if len(row) == len(CSV_HEADER)]
-    odd_xs, odd_ys, rest = _gaze_fields(tuple(row[1] for _, row in full))
-    for (i, row), x, y in zip(full, odd_xs, odd_ys):
-        ts_cells[i], xs[i], ys[i] = row[0], x, y
-    return ts_cells, xs, ys, rest, visits
+    *cells, rest, visits = _parse_rows(list(csv.reader(map(other.__getitem__, odd))))
+    for i, t, x, y in zip(odd, *cells):
+        ts_cells[i], xs[i], ys[i] = t, x, y
+    return ts_cells, xs, ys, rest, [(odd[j], row) for j, row in visits]
 
 
 def _text_blocks(fh) -> Iterator[str]:
@@ -523,7 +514,7 @@ def _not_utf8(exc: UnicodeDecodeError, path: Path, line: int) -> SessionLoadErro
 
 def _read(path: Path, kept: Callable[..., _Batch]) -> Iterator[_Batch]:
     """``kept(lines, *cells)`` of each batch of a level file: plain blocks by
-    ``_parse_lines``; from the first block that is not plain (line 1 if the
+    ``_plain_lines``; from the first block that is not plain (line 1 if the
     header is not one plain line), the rest by one CSV reader and
     ``_parse_rows``, ``_CHUNK_ROWS`` records at a time."""
     with path.open("rb") as fh:
@@ -536,11 +527,11 @@ def _read(path: Path, kept: Callable[..., _Batch]) -> Iterator[_Batch]:
             line_no = 2
             try:
                 for block in chain((rest,), blocks):
-                    columns = _plain_lines(block)
-                    if columns is None:
+                    cells = _plain_lines(block)
+                    if cells is None:
                         break
-                    lines = range(line_no, line_no + len(columns[0]))
-                    yield kept(lines, *_parse_lines(columns))
+                    lines = range(line_no, line_no + len(cells[0]))
+                    yield kept(lines, *cells)
                     line_no = lines.stop
                 else:
                     return
@@ -632,45 +623,6 @@ def load_level_csv(
         geometry=geometry,
         dropped_samples=dropped,
     )
-
-
-def _format_number(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _format_coord(x: float, y: float) -> str:
-    return f"({_format_number(x)}, {_format_number(y)})"
-
-
-def write_level_csv(session: LevelSession, path: str | Path) -> Path:
-    """Serialize a session back to the canonical CSV (LF line endings).
-
-    Rows run by time; at equal times a placement comes first, then a
-    sample, then an event, each kind in its session order (time order, kept
-    by ``LevelSession``). Reloading the written file gives an identical
-    session if it is normalized (first sample at t=0), as loaded ones are.
-    """
-    path = Path(path)
-    samples = session.samples
-    t, x, y = (column.tolist() for column in (samples.t_ms, samples.x_px, samples.y_px))
-    rows = heapq.merge(
-        (
-            (p.t_ms, 0, f'{p.t_ms},,"{_format_coord(p.obj_x_px, p.obj_y_px)}",'
-             f"{_format_number(p.aoi_w_px)},{_format_number(p.aoi_h_px)},,\n")
-            for p in session.placements
-        ),
-        ((ti, 1, f'{ti},"{_format_coord(xi, yi)}",,,,,\n') for ti, xi, yi in zip(t, x, y)),
-        (
-            (e.t_ms, 2, f"{e.t_ms},,,,,{e.kind},{'true' if e.correct else 'false'}\n")
-            for e in session.events
-        ),
-    )
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines(line for _, _, line in rows)
-    return path
 
 
 def merge_levels(sessions: Iterable[LevelSession]) -> SessionSet:

@@ -1,20 +1,23 @@
-"""Deterministic JSON reports and plot-data CSV emission.
+"""Deterministic JSON reports, plot-data CSVs and session CSVs.
 
 Key order is fixed by construction and floats are rounded to fixed
 precision (1 decimal for percentages, 3 for correlations and score
 terms, 4 for unit-interval ratios), so identical inputs produce
-byte-identical files.
+byte-identical files. Every file gazescore writes, session CSVs
+included, is staged and renamed by ``_atomic_write``.
 """
 from __future__ import annotations
 
+import heapq
 import os
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .ingest import CSV_HEADER, LevelSession
 from .pipeline import AoiMetrics, SessionAnalysis
 from .validation import ValidationReport, classify_assessment
 from .scoring import ScoringConfig
@@ -437,3 +440,43 @@ def emit_plot_data(
     )
     written.append(summary_path)
     return written
+
+
+def _format_number(value: float) -> str:
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def _format_coord(x: float, y: float) -> str:
+    return f"({_format_number(x)}, {_format_number(y)})"
+
+
+def write_level_csv(session: LevelSession, path: str | Path) -> Path:
+    """Serialize a session to the canonical CSV (LF line endings), staged
+    then renamed over ``path`` as every output is (see ``_atomic_write``).
+
+    Rows run by time; at equal times a placement comes first, then a
+    sample, then an event, each kind in its session order (time order, kept
+    by ``LevelSession``). Reloading the written file gives an identical
+    session if it is normalized (first sample at t=0), as loaded ones are.
+    """
+    path = Path(path)
+    samples = session.samples
+    t, x, y = (column.tolist() for column in (samples.t_ms, samples.x_px, samples.y_px))
+    rows = heapq.merge(
+        (
+            (p.t_ms, 0, f'{p.t_ms},,"{_format_coord(p.obj_x_px, p.obj_y_px)}",'
+             f"{_format_number(p.aoi_w_px)},{_format_number(p.aoi_h_px)},,\n")
+            for p in session.placements
+        ),
+        ((ti, 1, f'{ti},"{_format_coord(xi, yi)}",,,,,\n') for ti, xi, yi in zip(t, x, y)),
+        (
+            (e.t_ms, 2, f"{e.t_ms},,,,,{e.kind},{'true' if e.correct else 'false'}\n")
+            for e in session.events
+        ),
+    )
+    lines = (line for _, _, line in rows)
+    # One text, and so one os.write, per _CHUNK_SAMPLES rows.
+    _write_csv_atomic(path, CSV_HEADER, iter(lambda: "".join(islice(lines, _CHUNK_SAMPLES)), ""))
+    return path

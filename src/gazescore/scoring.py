@@ -43,6 +43,8 @@ LEVEL_FEATURE = {1: "interactions", 2: "aoi_transitions", 3: "aoi_switches"}
 LEVEL_FEATURE_WEIGHT = {1: 0.5, 2: 1.8, 3: 2.5}
 
 ETA_SOURCES = ("temporal", "aoi_dwell")
+# The max_impact keys that name a level: the int or exactly its text ("01" names none).
+_LEVEL_KEYS = {key: level for level in VALID_LEVELS for key in (level, str(level))}
 EXCESS_PERIOD_THRESHOLD = 8   # engagement periods before the excess penalty starts
 
 
@@ -52,10 +54,15 @@ class ConfigError(ValueError):
 
 def _as_max_impact(value) -> Mapping[int, float]:
     given = value if isinstance(value, Mapping) else dict.fromkeys(VALID_LEVELS, value)
-    # bool is an int subclass, but true/false is no level or bound.
-    if any(isinstance(item, bool) for pair in given.items() for item in pair):
+    # bool is an int subclass, but true/false is no bound.
+    if any(isinstance(bound, bool) for bound in given.values()):
         raise ConfigError(f"max_impact must hold numbers, not booleans: {value!r}")
-    mapping = {int(k): float(v) for k, v in given.items()}
+    mapping = {}
+    for key, bound in given.items():
+        level = _LEVEL_KEYS.get(key) if type(key) in (int, str) else None
+        if level is None or level in mapping:
+            raise ConfigError(f"max_impact key {key!r} must name level 1, 2 or 3 once")
+        mapping[level] = float(bound)
     missing = [level for level in VALID_LEVELS if level not in mapping]
     if missing:
         raise ConfigError(f"max_impact missing levels {missing}")

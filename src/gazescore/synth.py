@@ -25,11 +25,9 @@ from .ingest import (
     SampleColumns,
     SessionSet,
     merge_levels,
-    write_level_csv,
 )
-from .spatial import AoiLabel, Quadrant, ScreenGeometry
-
-GEOMETRY = ScreenGeometry()
+from .report import write_level_csv
+from .spatial import AoiLabel, Quadrant
 
 # generate_session tops its placements up to at least this many.
 N_OBJECTS = 4
@@ -264,7 +262,6 @@ def generate_session(profile: SynthProfile) -> LevelSession:
         samples=samples,
         events=events,
         placements=placements,
-        geometry=GEOMETRY,
     )
 
 
@@ -274,6 +271,9 @@ def generate_session(profile: SynthProfile) -> LevelSession:
 # 105/107/92, AoI focus 40.9/29.6/16.0 percent, the event tallies, and a
 # level-3 temporal impact of exactly -1.1).
 # ---------------------------------------------------------------------------
+
+# Samples in each of the small quadrant visits that close a fixture level.
+_SMALL_VISIT = 8
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,6 @@ class _FixturePlan:
     sq_gaps: int
     periods: tuple[int, ...]   # sample counts; sides alternate from the left
     singles: tuple[int, ...]
-    small_visit: int
     clicks: tuple[int, int]    # (total, correct)
     answers: tuple[int, int]
 
@@ -307,7 +306,6 @@ _FIXTURE_PLANS = (
         sq_gaps=9062,
         periods=(939, 875, 813, 751, 688, 501, 376),
         singles=(10,) * 16 + (6,),
-        small_visit=8,
         clicks=(18, 15),
         answers=(36, 36),
     ),
@@ -323,7 +321,6 @@ _FIXTURE_PLANS = (
         sq_gaps=6820,
         periods=(751, 601, 501, 401, 301, 161),
         singles=(2,) * 110,
-        small_visit=8,
         clicks=(11, 11),
         answers=(34, 33),
     ),
@@ -339,7 +336,6 @@ _FIXTURE_PLANS = (
         sq_gaps=1728,
         periods=(36,) * 12,
         singles=(2,) * 20,
-        small_visit=8,
         clicks=(13, 10),
         answers=(34, 31),
     ),
@@ -381,15 +377,15 @@ def _fixture_runs(plan: _FixturePlan) -> list[_Run]:
     runs = _padded(
         Quadrant.Q3,
         [run for p, items in phases for run in _phase_runs(plan, p, items)],
-        sq_samples - k * plan.small_visit,
+        sq_samples - k * _SMALL_VISIT,
         plan.dt,
     )
     # The first non-stimulus visit: a Q1 block, then nn one-sample switches.
-    runs.append(_Run(Quadrant.Q1, nsq_samples - (k - 1) * plan.small_visit - plan.nn))
+    runs.append(_Run(Quadrant.Q1, nsq_samples - (k - 1) * _SMALL_VISIT - plan.nn))
     runs += [_Run((Quadrant.Q2, Quadrant.Q1)[i % 2], 1) for i in range(plan.nn)]
     # Then small visits until the session's k stimulus visits are done.
     cycle = (Quadrant.Q4, Quadrant.Q2, Quadrant.Q3, Quadrant.Q1)
-    runs += [_Run(cycle[i % 4], plan.small_visit) for i in range(2 * k - 1)]
+    runs += [_Run(cycle[i % 4], _SMALL_VISIT) for i in range(2 * k - 1)]
     return runs
 
 
@@ -407,7 +403,6 @@ def generate_table_fixture(student_id: str = "S10") -> SessionSet:
                 samples=samples,
                 events=events,
                 placements=placements,
-                geometry=GEOMETRY,
             )
         )
     return merge_levels(sessions)
@@ -427,7 +422,7 @@ def write_session_set(session_set: SessionSet, out_dir: str | Path) -> list[Path
         check_student_id(student)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for (student, level), session in sorted(session_set.sessions.items()):
-        written.append(write_level_csv(session, out_dir / f"{student}_level{level}.csv"))
-    return written
+    return [
+        write_level_csv(session, out_dir / f"{student}_level{level}.csv")
+        for (student, level), session in sorted(session_set.sessions.items())
+    ]

@@ -40,10 +40,8 @@ from gazescore.ingest import (
     LevelSession,
     ObjectPlacement,
     SessionLoadError,
-    _format_coord,
-    _format_number,
 )
-from gazescore.report import _pct, _ratio, _score
+from gazescore.report import _format_coord, _format_number, _pct, _ratio, _score
 from gazescore.spatial import (
     AOI_ORDER,
     QUADRANT_ORDER,

@@ -9,13 +9,16 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gazescore import cli
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from gazescore.ingest import CSV_HEADER, merge_levels
+from gazescore.ingest import CSV_HEADER, LevelSession, SampleColumns, merge_levels
 from gazescore.scoring import ScoringConfig
 from gazescore.spatial import ScreenGeometry
-from gazescore.synth import SynthProfile, generate_session, write_session_set
+from gazescore.synth import (
+    SynthProfile, check_student_id, generate_session, write_session_set,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -230,6 +233,29 @@ def test_discovery_messages(tmp_path, names, student, level, message):
     with pytest.raises(FileNotFoundError) as missing:
         cli._discover_sessions(tmp_path, student, level, ScreenGeometry())
     assert str(missing.value) == message.format(tmp_path)
+
+
+# Ids the id rule accepts; a file name holds no NUL and no lone surrogate.
+STUDENT_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    min_size=1, max_size=12,
+).filter(lambda sid: sid not in (".", "..") and "/" not in sid and os.sep not in sid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.sets(st.tuples(STUDENT_IDS, st.integers(1, 3)), min_size=1, max_size=4))
+@example(keys={("a\nb", 1), ("c", 2)})
+@example(keys={("x_level2", 1), ("x", 2), ("_level3.csv", 3)})
+def test_written_session_files_are_discovered(tmp_path_factory, keys):
+    """``write_session_set`` then discovery gives back exactly the (student,
+    level) keys written, whatever characters the ids hold."""
+    assert all(check_student_id(sid) == sid for sid, _ in keys)
+    sample = SampleColumns([0], [5.0], [5.0])
+    sessions = merge_levels(LevelSession(sid, level, sample, (), ()) for sid, level in keys)
+    directory = tmp_path_factory.mktemp("sessions")
+    write_session_set(sessions, directory)
+    found = cli._discover_sessions(directory, None, None, ScreenGeometry())
+    assert set(found.sessions) == keys
 
 
 @pytest.mark.parametrize("student", ["..", "."])

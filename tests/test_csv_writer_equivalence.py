@@ -17,8 +17,8 @@ from gazescore.ingest import (
     LevelSession,
     ObjectPlacement,
     SampleColumns,
-    write_level_csv,
 )
+from gazescore.report import write_level_csv
 
 import oracles
 

@@ -22,8 +22,8 @@ from gazescore.ingest import (
     load_level_csv,
     merge_levels,
     parse_coordinate_string,
-    write_level_csv,
 )
+from gazescore.report import write_level_csv
 from gazescore.spatial import ScreenGeometry
 
 GEO = ScreenGeometry()

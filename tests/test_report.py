@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gazescore import report as report_module
-from gazescore.ingest import LevelSession
+from gazescore.ingest import LevelSession, load_level_csv
 from gazescore.pipeline import analyze_session, analyze_student
 from gazescore.report import build_report, emit_plot_data, write_report
 from gazescore.scoring import ScoringConfig
@@ -289,3 +290,25 @@ class TestStagedWrite:
             os.fstat(calls[0])  # closed
         assert target.read_text() == "old\n"
         assert (tmp_path / "samples_level1.csv.tmp").read_text() == "first\n"
+
+
+def test_interrupted_session_csv_leaves_the_old_file(tmp_path, fixture_analysis):
+    """A session CSV rewrite stopped part-way leaves the old file whole under
+    its name; the rows written so far sit only in the staged ``.tmp``."""
+    session = fixture_analysis[0][0].session  # S10 level 1
+    target = tmp_path / "S10_level1.csv"
+    report_module.write_level_csv(session, target)
+    old = target.read_bytes()
+    format_coord, calls = report_module._format_coord, itertools.count()
+
+    def interrupted(x, y):
+        if next(calls) == 6000:
+            raise KeyboardInterrupt
+        return format_coord(x, y)
+
+    with mock.patch.object(report_module, "_format_coord", interrupted):
+        with pytest.raises(KeyboardInterrupt):
+            report_module.write_level_csv(session, target)
+    assert target.read_bytes() == old
+    assert load_level_csv(target, 1, "S10").samples == session.samples
+    assert 0 < (tmp_path / "S10_level1.csv.tmp").stat().st_size < len(old)

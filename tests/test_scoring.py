@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,22 @@ class TestConfig:
     def test_per_level_max_impact(self):
         config = ScoringConfig.from_dict({"max_impact": {"1": 5, "2": 10, "3": 20}})
         assert config.max_impact[3] == 20.0
+
+    @pytest.mark.parametrize(
+        "key", ["01", " 2", "3 ", "4", "+1", "1.0", 0, 4, 1.0, True, None], ids=repr
+    )
+    def test_max_impact_key_must_name_a_level(self, key):
+        """Only 1, 2 and 3 or exactly "1", "2" and "3" name a level: no other
+        key may set a level's cap or be kept."""
+        given = {"1": 15, "2": 15, "3": 15, key: 3}
+        with pytest.raises(ConfigError, match=re.escape(f"max_impact key {key!r} must name level")):
+            ScoringConfig.from_dict({"max_impact": given})
+
+    def test_max_impact_names_each_level_once(self):
+        with pytest.raises(ConfigError, match="max_impact key '1' must name level 1, 2 or 3 once"):
+            ScoringConfig(max_impact={1: 15.0, 2: 15.0, 3: 15.0, "1": 3.0})
+        config = ScoringConfig(max_impact={1: 5, "2": 10, 3: 20})
+        assert config.max_impact == {1: 5.0, 2: 10.0, 3: 20.0}
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
