@@ -212,9 +212,9 @@ class LevelSession:
     ``samples`` may be given as a ``GazeSample`` sequence; it is stored
     as ``SampleColumns``. Samples (stable for ties), events and placements
     are stored in time order, the latter two as tuples, whatever order they
-    come in; every stage relies on it. ``pipeline.analyze_session`` keeps
-    the session's config-independent analysis on the instance, outside the
-    fields; ``dataclasses.replace`` gives a new instance without it.
+    come in; every stage relies on it. Analyses keep what they compute from
+    the session alone on the instance, outside the fields (``_memo``);
+    ``dataclasses.replace`` gives a new instance with nothing kept.
     """
 
     student_id: str
@@ -240,6 +240,21 @@ class LevelSession:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "events", tuple(sorted(self.events, key=by_time)))
         object.__setattr__(self, "placements", tuple(sorted(self.placements, key=by_time)))
+
+
+def _memo(session: LevelSession, key, make: Callable[[], object]):
+    """``make()``, computed on the first call for ``key`` and kept on the
+    session instance, so that later calls return the same object.
+
+    Everything is kept in one dict under the ``_memo`` attribute. It is not
+    a dataclass field, so ``==``, ``repr`` and ``dataclasses.replace`` ignore
+    it. A session's fields cannot change, so a kept value never goes stale.
+    Both the dict and each value are stored with ``setdefault``: a
+    concurrent first call keeps what was stored first.
+    """
+    memo = vars(session).get("_memo") or vars(session).setdefault("_memo", {})
+    value = memo.get(key)
+    return memo.setdefault(key, make()) if value is None else value
 
 
 @dataclass

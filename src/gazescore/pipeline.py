@@ -13,7 +13,7 @@ from .engagement import (
     select_periods,
     temporal_metrics,
 )
-from .ingest import LevelSession, SessionSet
+from .ingest import LevelSession, SessionSet, _memo
 from .scoring import (
     LevelFeatures,
     ScoreBreakdown,
@@ -81,50 +81,54 @@ def _feature_fields(session, facts, aoi_stats, temporal) -> dict:
     )
 
 
-# Attribute of a LevelSession instance that holds its SessionFacts. It is
-# not a dataclass field, so ==, repr and dataclasses.replace ignore it and
-# a replaced session starts without facts.
-_FACTS_ATTR = "_facts"
-
-
 def session_facts(session: LevelSession) -> SessionFacts:
     """The session's config-independent analysis, computed on first use.
 
-    The result is kept on the session instance, so later calls (under any
-    config) return the same object. A session's fields cannot change, so
-    the facts never go stale.
+    The result is kept on the session instance (``ingest._memo``), so later
+    calls (under any config) return the same object.
     """
-    memo = vars(session)
-    facts = memo.get(_FACTS_ATTR)
-    if facts is None:
-        t = session.samples.t_ms
-        quadrants, aois = classify_session(session)
-        quadrant_matrix = build_quadrant_matrix(quadrants)
-        aoi_matrix = build_aoi_matrix(aois)
-        dwell = dwell_summary(t, quadrants)
-        duration = dwell.session_duration_ms
-        facts = SessionFacts(
-            quadrant_labels=quadrants,
-            aoi_labels=aois,
-            quadrant_matrix=quadrant_matrix,
-            aggregates=aggregate_transitions(quadrant_matrix),
-            aoi_matrix=aoi_matrix,
-            aoi_pairs=aoi_metrics(aoi_matrix, changes_only=False),
-            aoi_changes=aoi_metrics(aoi_matrix, changes_only=True),
-            dwell=dwell,
-            dwell_share_sum=(
-                sum(dwell.time_in_quadrant.values()) / duration if duration > 0 else None
-            ),
-            focus_aoi_pct=aoi_sample_share_pct(aois),
-            aoi_time_share_pct=aoi_time_share_pct(t, aois),
-            runs=aoi_runs(t, aois),
-            game=game_accuracy(session.events),
-        )
-        for aoi_stats in (facts.aoi_pairs, facts.aoi_changes):  # LevelFeatures checks, once
-            LevelFeatures(**_feature_fields(session, facts, aoi_stats, None))
-        # Write once: a concurrent first call keeps the facts stored first.
-        facts = memo.setdefault(_FACTS_ATTR, facts)
+    return _memo(session, "facts", lambda: _facts(session))
+
+
+def _facts(session: LevelSession) -> SessionFacts:
+    t = session.samples.t_ms
+    quadrants, aois = classify_session(session)
+    quadrant_matrix = build_quadrant_matrix(quadrants)
+    aoi_matrix = build_aoi_matrix(aois)
+    dwell = dwell_summary(t, quadrants)
+    duration = dwell.session_duration_ms
+    facts = SessionFacts(
+        quadrant_labels=quadrants,
+        aoi_labels=aois,
+        quadrant_matrix=quadrant_matrix,
+        aggregates=aggregate_transitions(quadrant_matrix),
+        aoi_matrix=aoi_matrix,
+        aoi_pairs=aoi_metrics(aoi_matrix, changes_only=False),
+        aoi_changes=aoi_metrics(aoi_matrix, changes_only=True),
+        dwell=dwell,
+        dwell_share_sum=(
+            sum(dwell.time_in_quadrant.values()) / duration if duration > 0 else None
+        ),
+        focus_aoi_pct=aoi_sample_share_pct(aois),
+        aoi_time_share_pct=aoi_time_share_pct(t, aois),
+        runs=aoi_runs(t, aois),
+        game=game_accuracy(session.events),
+    )
+    for aoi_stats in (facts.aoi_pairs, facts.aoi_changes):  # LevelFeatures checks, once
+        LevelFeatures(**_feature_fields(session, facts, aoi_stats, None))
     return facts
+
+
+def _periods(
+    facts: SessionFacts, config: ScoringConfig
+) -> tuple[tuple[EngagementPeriod, ...], TemporalMetrics]:
+    periods = tuple(select_periods(
+        facts.runs,
+        min_duration_ms=config.tau_min_ms,
+        sustained_ms=config.tau_sustained_ms,
+        gap_tolerance_ms=config.gap_tolerance_ms,
+    ))
+    return periods, temporal_metrics(periods, facts.dwell.session_duration_ms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,19 +159,20 @@ def analyze_session(
     """Run the full pipeline on one session and return every artifact.
 
     The config-independent stages run once per session object
-    (``session_facts``); each call runs only the config-dependent ones.
+    (``session_facts``). The periods and their temporal metrics, which read
+    only ``tau_min_ms``, ``tau_sustained_ms`` and ``gap_tolerance_ms``, are
+    kept on the session per setting of those three, and the features per
+    setting of those and ``aoi_total_changes_only``. A call whose setting
+    the session has seen runs only ``final_score`` and ``check_constraints``.
     """
     facts = session_facts(session)
-    aoi_stats = facts.aoi_changes if config.aoi_total_changes_only else facts.aoi_pairs
-    periods = select_periods(
-        facts.runs,
-        min_duration_ms=config.tau_min_ms,
-        sustained_ms=config.tau_sustained_ms,
-        gap_tolerance_ms=config.gap_tolerance_ms,
-    )
-    temporal = temporal_metrics(periods, facts.dwell.session_duration_ms)
-
-    features = _adopt(LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal))
+    key = (config.tau_min_ms, config.tau_sustained_ms, config.gap_tolerance_ms)
+    periods, temporal = _memo(session, key, lambda: _periods(facts, config))
+    switch = config.aoi_total_changes_only
+    aoi_stats = facts.aoi_changes if switch else facts.aoi_pairs
+    features = _memo(session, (*key, switch), lambda: _adopt(
+        LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal)
+    ))
     breakdown = final_score(features, config)
     violations = check_constraints(breakdown, facts.dwell_share_sum, config)
 
@@ -175,7 +180,7 @@ def analyze_session(
         vars(facts),
         session=session,
         aoi=aoi_stats,
-        periods=tuple(periods),
+        periods=periods,
         temporal=temporal,
         features=features,
         breakdown=breakdown,

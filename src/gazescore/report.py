@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import CSV_HEADER, LevelSession
+from .ingest import CSV_HEADER, LevelSession, _memo
 from .pipeline import AoiMetrics, SessionAnalysis
 from .validation import ValidationReport, classify_assessment
 from .scoring import ScoringConfig
@@ -75,8 +75,7 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
     )
     category, calibration = classify_assessment(b.final_score, diff, config)
     # Built once per session: transitions leaves (AoI switch off, on) and game.
-    memo = vars(analysis.session)
-    leaves = memo.get("_report_leaves") or memo.setdefault("_report_leaves", (
+    leaves = _memo(analysis.session, "report", lambda: (
         _transition_leaves(analysis, analysis.aoi_pairs),
         _transition_leaves(analysis, analysis.aoi_changes),
         None if game.total_events == 0 else {

@@ -409,9 +409,9 @@ def generate_table_fixture(student_id: str = "S10") -> SessionSet:
 
 
 def check_student_id(student_id: str) -> str:
-    """The id, unless it is empty, "." or ".." or holds a path separator
-    (ValueError): its ``<student>_level<k>.csv`` must stay in its directory."""
-    if student_id in ("", ".", "..") or {"/", os.sep, os.altsep} & set(student_id):
+    """The id, unless it is empty, "." or ".." or holds a path separator or a
+    NUL (ValueError): its ``<student>_level<k>.csv`` must stay in its directory."""
+    if student_id in ("", ".", "..") or {"/", os.sep, os.altsep, "\0"} & set(student_id):
         raise ValueError(f"student id must name a file in the output directory: {student_id!r}")
     return student_id
 

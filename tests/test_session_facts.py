@@ -2,9 +2,10 @@
 
 ``analyze_session`` keeps the config-independent part of a session's
 analysis (labels, matrices, aggregates, dwell, AoI shares, AoI runs and
-the game tally) on the session object, and runs only the config-dependent
-stages on every call. A session analysed under many configs must give
-exactly what a fresh copy of it gives under each one.
+the game tally) on the session object, and the periods, temporal metrics
+and features per period setting, and runs only the rest on every call. A
+session analysed under many configs must give exactly what a fresh copy
+of it gives under each one.
 """
 from __future__ import annotations
 
@@ -80,12 +81,19 @@ def scored_sessions(draw):
 
 
 @st.composite
-def configs(draw) -> ScoringConfig:
+def period_settings(draw) -> tuple[int, int, int]:
+    """(tau_min_ms, tau_sustained_ms, gap_tolerance_ms): a period key."""
     tau_min = draw(MIN_DURATIONS)
+    return tau_min, tau_min + draw(st.one_of(st.just(0), st.integers(0, 3000))), draw(TOLERANCES)
+
+
+@st.composite
+def configs(draw, settings=period_settings()) -> ScoringConfig:
+    tau_min, tau_sustained, tolerance = draw(settings)
     return ScoringConfig(
         tau_min_ms=tau_min,
-        tau_sustained_ms=tau_min + draw(st.one_of(st.just(0), st.integers(0, 3000))),
-        gap_tolerance_ms=draw(TOLERANCES),
+        tau_sustained_ms=tau_sustained,
+        gap_tolerance_ms=tolerance,
         alpha1=draw(st.floats(0, 6)),
         alpha2=draw(st.floats(0, 6)),
         aoi_total_changes_only=draw(st.booleans()),
@@ -108,14 +116,34 @@ def _report_bytes(analysis: SessionAnalysis, config: ScoringConfig) -> bytes:
     return json.dumps(build_report("s", [analysis], None, config), indent=2).encode()
 
 
+@st.composite
+def repeating_configs(draw) -> list[ScoringConfig]:
+    """Configs over 1-3 period settings, so that period keys repeat, with
+    their other fields drawn; the first setting comes under both AoI switch
+    values."""
+    keys = draw(st.lists(period_settings(), min_size=1, max_size=3))
+    config_list = draw(st.lists(configs(st.sampled_from(keys)), min_size=2, max_size=6))
+    first = config_list[0]
+    flipped = dataclasses.replace(first, aoi_total_changes_only=not first.aoi_total_changes_only)
+    return draw(st.permutations([*config_list, flipped]))
+
+
+def _period_key(config: ScoringConfig) -> tuple[int, int, int]:
+    return config.tau_min_ms, config.tau_sustained_ms, config.gap_tolerance_ms
+
+
 @settings(max_examples=200, deadline=None)
-@given(scored_sessions(), st.lists(configs(), min_size=2, max_size=6))
+@given(scored_sessions(), repeating_configs())
 def test_warm_session_analyses_like_a_fresh_one(session, config_list):
+    """A session that has kept the periods of a setting analyses like a
+    fresh copy, under any config with that setting."""
+    periods = {}
     for config in config_list:
         warm = analyze_session(session, config)
         cold = analyze_session(dataclasses.replace(session), config)
         _assert_same_analysis(warm, cold)
         assert _report_bytes(warm, config) == _report_bytes(cold, config)
+        assert warm.periods is periods.setdefault(_period_key(config), warm.periods)
 
 
 @st.composite
@@ -165,6 +193,24 @@ def test_facts_computed_once_for_sixteen_configs(session, monkeypatch):
     assert all(a.aoi_matrix is analyses[0].aoi_matrix for a in analyses)
     # The config-dependent part still follows the config.
     assert len({a.breakdown.base_score for a in analyses}) == 4
+
+
+def test_periods_computed_once_per_period_setting(session, monkeypatch):
+    """The 16 configs hold 4 period settings: each setting's periods and
+    temporal metrics are computed once and shared, with its features."""
+    calls = []
+    for name in ("select_periods", "temporal_metrics"):
+        stage = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args, _stage=stage, _name=name, **kwargs:
+                            calls.append(_name) or _stage(*args, **kwargs))
+    first = {}
+    for config in GRID:
+        analysis = analyze_session(session, config)
+        seen = first.setdefault(_period_key(config), analysis)
+        for name in ("periods", "temporal", "features"):
+            assert getattr(analysis, name) is getattr(seen, name), name
+    assert len(first) == 4
+    assert sorted(calls) == ["select_periods"] * 4 + ["temporal_metrics"] * 4
 
 
 def test_aoi_metrics_computed_with_the_facts(session, monkeypatch):
@@ -220,8 +266,15 @@ def test_feature_checks_run_once_per_session(session, monkeypatch):
 
 
 def test_replace_gets_fresh_facts(session):
+    """A replaced session keeps nothing, so it computes its own facts and
+    periods; analyses of one session under one period key share one
+    ``periods`` tuple."""
     placed = analyze_session(session)
-    assert np.any(placed.aoi_labels != OUTSIDE_CODE)
+    assert np.any(placed.aoi_labels != OUTSIDE_CODE) and placed.periods
+    assert analyze_session(session, ScoringConfig(alpha1=2.0)).periods is placed.periods
+    assert "_memo" not in vars(dataclasses.replace(session))
+    twin = analyze_session(dataclasses.replace(session))
+    assert twin.periods == placed.periods and twin.periods is not placed.periods
     bare = analyze_session(dataclasses.replace(session, placements=()))
     assert np.all(bare.aoi_labels == OUTSIDE_CODE)
     assert bare.periods == () and bare.aoi_matrix.counts[:2].sum() == 0

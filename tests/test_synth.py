@@ -264,7 +264,7 @@ def test_fixture_plan_closes(plan):
     )
 
 
-@pytest.mark.parametrize("student", ["../x", "a/b", "..", ".", ""])
+@pytest.mark.parametrize("student", ["../x", "a/b", "..", ".", "", "a\x00b"])
 def test_write_session_set_refuses_an_id_outside_its_directory(tmp_path, student):
     session = generate_session(SynthProfile(student_id=student))
     with pytest.raises(ValueError, match="student id must name a file"):
