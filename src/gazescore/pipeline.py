@@ -18,6 +18,7 @@ from .scoring import (
     LevelFeatures,
     ScoreBreakdown,
     ScoringConfig,
+    _score_terms,
     check_constraints,
     final_score,
 )
@@ -153,27 +154,51 @@ class SessionAnalysis(SessionFacts):
     violations: tuple[str, ...]
 
 
+def _terms_key(config: ScoringConfig, level: int) -> tuple:
+    """The key under which a level session keeps its weight-free score
+    terms: ``tau_min_ms``, ``tau_sustained_ms`` and ``gap_tolerance_ms``
+    (the period key), ``aoi_total_changes_only`` (the first four are the
+    features' key), ``eta_source``, ``excess_period_threshold`` and the
+    level's ``max_impact``."""
+    return (
+        config.tau_min_ms, config.tau_sustained_ms, config.gap_tolerance_ms,
+        config.aoi_total_changes_only, config.eta_source,
+        config.excess_period_threshold, config.max_impact[level],
+    )
+
+
+def _scoring_inputs(session, facts, aoi_stats, key, config) -> tuple:
+    """The periods, temporal metrics, features and weight-free score terms
+    under one ``_terms_key``: the periods and temporal metrics come from the
+    entry of its period key, the features from that of its first four
+    fields."""
+    periods, temporal = _memo(session, key[:3], lambda: _periods(facts, config))
+    features = _memo(session, key[:4], lambda: _adopt(
+        LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal)
+    ))
+    return periods, temporal, features, _score_terms(features, config)
+
+
 def analyze_session(
     session: LevelSession, config: ScoringConfig = ScoringConfig()
 ) -> SessionAnalysis:
     """Run the full pipeline on one session and return every artifact.
 
     The config-independent stages run once per session object
-    (``session_facts``). The periods and their temporal metrics, which read
-    only ``tau_min_ms``, ``tau_sustained_ms`` and ``gap_tolerance_ms``, are
-    kept on the session per setting of those three, and the features per
-    setting of those and ``aoi_total_changes_only``. A call whose setting
-    the session has seen runs only ``final_score`` and ``check_constraints``.
+    (``session_facts``). The rest is kept on the session per setting of the
+    fields it reads (``_terms_key``): the periods and their temporal metrics
+    per period key, the features per that key and the AoI switch, and the
+    weight-free score terms per the whole key. A call whose setting the
+    session has seen runs only the weighted step of ``final_score`` and
+    ``check_constraints``.
     """
     facts = session_facts(session)
-    key = (config.tau_min_ms, config.tau_sustained_ms, config.gap_tolerance_ms)
-    periods, temporal = _memo(session, key, lambda: _periods(facts, config))
-    switch = config.aoi_total_changes_only
-    aoi_stats = facts.aoi_changes if switch else facts.aoi_pairs
-    features = _memo(session, (*key, switch), lambda: _adopt(
-        LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal)
-    ))
-    breakdown = final_score(features, config)
+    key = _terms_key(config, session.level)
+    aoi_stats = facts.aoi_changes if config.aoi_total_changes_only else facts.aoi_pairs
+    periods, temporal, features, terms = _memo(
+        session, key, lambda: _scoring_inputs(session, facts, aoi_stats, key, config)
+    )
+    breakdown = final_score(features, config, terms)
     violations = check_constraints(breakdown, facts.dwell_share_sum, config)
 
     return _adopt(SessionAnalysis, dict(

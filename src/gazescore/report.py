@@ -12,13 +12,14 @@ import heapq
 import os
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .ingest import CSV_HEADER, LevelSession, _memo
-from .pipeline import AoiMetrics, SessionAnalysis
+from .pipeline import AoiMetrics, SessionAnalysis, _terms_key
 from .validation import ValidationReport, classify_assessment
 from .scoring import ScoringConfig
 from .spatial import AOI_ORDER, QUADRANT_ORDER
@@ -67,6 +68,25 @@ def _transition_leaves(analysis: SessionAnalysis, aoi: AoiMetrics) -> dict:
     }
 
 
+# The weight-free terms of a ScoreBreakdown, in report order.
+_TERM_NAMES = (
+    "level_bonus", "focus_score", "engagement_bonus", "sustained_bonus",
+    "duration_bonus", "excess_penalty", "temporal_impact",
+)
+_terms_of = attrgetter(*_TERM_NAMES)
+
+
+def _term_leaves(temporal, terms: tuple) -> tuple[dict, dict]:
+    """The rounded ``temporal`` block and weight-free ``score`` leaves."""
+    return {
+        "eta_temporal": _ratio(temporal.eta_temporal),
+        "mu_engagement_ms": _score(temporal.mu_engagement_ms),
+        "sigma_sustained": _ratio(temporal.sigma_sustained),
+        "period_count": temporal.period_count,
+        "sustained_count": temporal.sustained_count,
+    }, dict(zip(_TERM_NAMES, map(_score, terms)))
+
+
 def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
     b = analysis.breakdown
     game = analysis.game
@@ -74,8 +94,9 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
         abs(b.final_score - game.accuracy_pct) if game.accuracy_pct is not None else None
     )
     category, calibration = classify_assessment(b.final_score, diff, config)
+    session = analysis.session
     # Built once per session: transitions leaves (AoI switch off, on) and game.
-    leaves = _memo(analysis.session, "report", lambda: (
+    leaves = _memo(session, "report", lambda: (
         _transition_leaves(analysis, analysis.aoi_pairs),
         _transition_leaves(analysis, analysis.aoi_changes),
         None if game.total_events == 0 else {
@@ -88,17 +109,22 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
         },
     ))
     transitions = leaves[analysis.aoi is analysis.aoi_changes]
+    # Built once per setting of the weight-free terms. The entry holds the
+    # objects it was rounded from, and serves only an analysis holding those
+    # very objects: ``config`` may not be the analysis's own, and equal
+    # floats may round apart (0.0 and -0.0).
+    temporal, terms = analysis.temporal, _terms_of(b)
+    kept = _memo(session, ("report", *_terms_key(config, session.level)),
+                 lambda: (temporal, terms, *_term_leaves(temporal, terms)))
+    if kept[0] is temporal and all(map(is_, kept[1], terms)):
+        temporal_leaves, score_leaves = kept[2:]
+    else:
+        temporal_leaves, score_leaves = _term_leaves(temporal, terms)
     return {
-        "level": analysis.session.level,
+        "level": session.level,
         "score": {
             "base_score": _score(b.base_score),
-            "level_bonus": _score(b.level_bonus),
-            "focus_score": _score(b.focus_score),
-            "engagement_bonus": _score(b.engagement_bonus),
-            "sustained_bonus": _score(b.sustained_bonus),
-            "duration_bonus": _score(b.duration_bonus),
-            "excess_penalty": _score(b.excess_penalty),
-            "temporal_impact": _score(b.temporal_impact),
+            **score_leaves,
             "multiplier": b.multiplier,
             "final_score": _score(b.final_score),
         },
@@ -110,13 +136,7 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
             **transitions,  # with a fresh dwell_ms, as every container is
             "dwell_ms": dict(transitions["dwell_ms"]),
         },
-        "temporal": {
-            "eta_temporal": _ratio(analysis.temporal.eta_temporal),
-            "mu_engagement_ms": _score(analysis.temporal.mu_engagement_ms),
-            "sigma_sustained": _ratio(analysis.temporal.sigma_sustained),
-            "period_count": analysis.temporal.period_count,
-            "sustained_count": analysis.temporal.sustained_count,
-        },
+        "temporal": dict(temporal_leaves),
         "game": leaves[2] and dict(leaves[2]),
         "assessment": {
             "performance": category,

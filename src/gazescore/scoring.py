@@ -154,6 +154,8 @@ def read_config_json(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"bad JSON in {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return data
@@ -286,7 +288,7 @@ def temporal_impact(features: LevelFeatures, config: ScoringConfig = ScoringConf
 
     The raw sum is clamped to +/- the configured per-level cap.
     """
-    return final_score(features, config).temporal_impact
+    return _score_terms(features, config)[-1]
 
 
 def temporal_multiplier(s_base: float) -> float:
@@ -300,13 +302,14 @@ def temporal_multiplier(s_base: float) -> float:
     return 0.4
 
 
-def final_score(
-    features: LevelFeatures, config: ScoringConfig = ScoringConfig()
-) -> ScoreBreakdown:
-    """Full score computation with every intermediate term recorded.
+def _score_terms(features: LevelFeatures, config: ScoringConfig) -> tuple[float, ...]:
+    """The weight-free terms of ``final_score``: level bonus, focus,
+    engagement, sustained, duration, excess and the capped impact, in
+    ``ScoreBreakdown`` field order.
 
-    The multiplier is evaluated on the unclamped base score; only the
-    combined result is clamped to [0, 100]. Each term is computed once.
+    They read the features, ``eta_source``, ``excess_period_threshold`` and
+    the level's ``max_impact``, but no weight, so a caller may keep them per
+    setting of those and pass them to ``final_score``.
     """
     bonus = level_bonus(features)
     focus = psi_focus(features.sf_pct, features.level)
@@ -315,6 +318,30 @@ def final_score(
     sustained = bonus_sustained(temporal.sustained_count)
     duration = bonus_duration(temporal.mu_engagement_ms / 1000.0)
     excess = penalty_excess(temporal.period_count, config.excess_period_threshold)
+    cap = config.max_impact[features.level]
+    impact = max(-cap, min(cap, engagement + focus + sustained + duration - excess))
+    return bonus, focus, engagement, sustained, duration, excess, impact
+
+
+def final_score(
+    features: LevelFeatures,
+    config: ScoringConfig = ScoringConfig(),
+    terms: tuple[float, ...] | None = None,
+) -> ScoreBreakdown:
+    """Full score computation with every intermediate term recorded.
+
+    ``terms`` are the weight-free terms ``_score_terms(features, config)``
+    gives; they are computed here when not passed. This step adds the
+    weighted base score, the multiplier and the clamp: the multiplier is
+    evaluated on the unclamped base score, and only the combined result is
+    clamped to [0, 100]. Each term is computed once.
+
+    Raises ConfigError, naming the weights, when the base score is not
+    finite: weights near the float limit overflow it to +/-inf or NaN.
+    """
+    if terms is None:
+        terms = _score_terms(features, config)
+    bonus, focus, engagement, sustained, duration, excess, impact = terms
     s_base = (
         config.alpha1 * features.nsq_to_sq
         - config.alpha2 * features.sq_to_nsq
@@ -322,23 +349,26 @@ def final_score(
         + config.gamma * features.aoi_efficiency
         + config.delta * focus
     )
-    cap = config.max_impact[features.level]
-    impact = max(-cap, min(cap, engagement + focus + sustained + duration - excess))
+    if not math.isfinite(s_base):
+        raise ConfigError(
+            f"level {features.level} base score is {s_base} under weights "
+            f"alpha1={config.alpha1}, alpha2={config.alpha2}, gamma={config.gamma}, "
+            f"delta={config.delta}: it must be finite"
+        )
     multiplier = temporal_multiplier(s_base)
-    final = max(0.0, min(100.0, s_base + multiplier * impact))
-    return _adopt(ScoreBreakdown, dict(
-        level=features.level,
-        base_score=s_base,
-        level_bonus=bonus,
-        focus_score=focus,
-        engagement_bonus=engagement,
-        sustained_bonus=sustained,
-        duration_bonus=duration,
-        excess_penalty=excess,
-        temporal_impact=impact,
-        multiplier=multiplier,
-        final_score=final,
-    ))
+    return _adopt(ScoreBreakdown, {
+        "level": features.level,
+        "base_score": s_base,
+        "level_bonus": bonus,
+        "focus_score": focus,
+        "engagement_bonus": engagement,
+        "sustained_bonus": sustained,
+        "duration_bonus": duration,
+        "excess_penalty": excess,
+        "temporal_impact": impact,
+        "multiplier": multiplier,
+        "final_score": max(0.0, min(100.0, s_base + multiplier * impact)),
+    })
 
 
 def check_constraints(

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .ingest import GameEvent
 from .scoring import ScoringConfig
+from .spatial import _adopt
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,22 @@ def _dot(a: list[float], b: list[float]) -> float:
     return total
 
 
-def _mae(m: list[float], t: list[float]) -> float:
-    return _mean([abs(a - b) for a, b in zip(m, t)])
-
-
-def _rmse(m: list[float], t: list[float]) -> float:
-    d = [a - b for a, b in zip(m, t)]
-    return math.sqrt(_dot(d, d) / len(d))
+def _errors(m: list[float], t: list[float]) -> tuple[float, float]:
+    """MAE and RMSE, from one loop over the pairs."""
+    abs_sum = square_sum = 0.0
+    for a, b in zip(m, t):
+        d = a - b
+        abs_sum += abs(d)
+        square_sum += d * d
+    return abs_sum / len(m), math.sqrt(square_sum / len(m))
 
 
 def mae(model: Sequence[float], truth: Sequence[float]) -> float:
-    return _mae(*_paired(model, truth))
+    return _errors(*_paired(model, truth))[0]
 
 
 def rmse(model: Sequence[float], truth: Sequence[float]) -> float:
-    return _rmse(*_paired(model, truth))
+    return _errors(*_paired(model, truth))[1]
 
 
 def _constant(values: list[float]) -> bool:
@@ -224,15 +226,15 @@ def validate_scores(
 ) -> ValidationReport:
     """Error metrics plus correlations, with undefined values left as None."""
     m, t = _paired(model, truth)
-    n = len(m)
-    pearson_r, spearman_rho = _correlations(m, t) if n >= 2 else (None, None)
-    return ValidationReport(
-        mae_pct=_mae(m, t),
-        rmse_pct=_rmse(m, t),
-        pearson_r=pearson_r,
-        spearman_rho=spearman_rho,
-        n=n,
-    )
+    mae_pct, rmse_pct = _errors(m, t)
+    pearson_r, spearman_rho = _correlations(m, t) if len(m) >= 2 else (None, None)
+    return _adopt(ValidationReport, {
+        "mae_pct": mae_pct,
+        "rmse_pct": rmse_pct,
+        "pearson_r": pearson_r,
+        "spearman_rho": spearman_rho,
+        "n": len(m),
+    })
 
 
 def classify_assessment(

@@ -10,7 +10,9 @@ writer that sorted one row list per file and wrote it through
 ``json`` module's indent-2 encoder writes it. ``level_block`` builds a
 report level block from the analysis alone on every call, as
 ``build_report`` did before it kept a session's config-independent
-leaves. ``mae`` to
+leaves. ``final_score`` is the one-piece scorer that computed every term
+on every call, before the weight-free terms were split off to be kept per
+setting. ``mae`` to
 ``validate_scores`` are the NumPy validation metrics the plain-float ones
 in ``gazescore.validation`` replaced.
 """
@@ -42,6 +44,17 @@ from gazescore.ingest import (
     SessionLoadError,
 )
 from gazescore.report import _format_coord, _format_number, _pct, _ratio, _score
+from gazescore.scoring import (
+    ScoreBreakdown,
+    _eta_for,
+    bonus_aoi,
+    bonus_duration,
+    bonus_sustained,
+    level_bonus,
+    penalty_excess,
+    psi_focus,
+    temporal_multiplier,
+)
 from gazescore.spatial import (
     AOI_ORDER,
     QUADRANT_ORDER,
@@ -664,6 +677,45 @@ def level_block(analysis, config) -> dict:
         },
         "constraint_violations": list(analysis.violations),
     }
+
+
+def final_score(features, config) -> ScoreBreakdown:
+    """Every term of the score, computed in one piece on every call.
+
+    The multiplier is evaluated on the unclamped base score; only the
+    combined result is clamped to [0, 100].
+    """
+    bonus = level_bonus(features)
+    focus = psi_focus(features.sf_pct, features.level)
+    temporal = features.temporal
+    engagement = bonus_aoi(_eta_for(features, config))
+    sustained = bonus_sustained(temporal.sustained_count)
+    duration = bonus_duration(temporal.mu_engagement_ms / 1000.0)
+    excess = penalty_excess(temporal.period_count, config.excess_period_threshold)
+    s_base = (
+        config.alpha1 * features.nsq_to_sq
+        - config.alpha2 * features.sq_to_nsq
+        + bonus
+        + config.gamma * features.aoi_efficiency
+        + config.delta * focus
+    )
+    cap = config.max_impact[features.level]
+    impact = max(-cap, min(cap, engagement + focus + sustained + duration - excess))
+    multiplier = temporal_multiplier(s_base)
+    final = max(0.0, min(100.0, s_base + multiplier * impact))
+    return ScoreBreakdown(
+        level=features.level,
+        base_score=s_base,
+        level_bonus=bonus,
+        focus_score=focus,
+        engagement_bonus=engagement,
+        sustained_bonus=sustained,
+        duration_bonus=duration,
+        excess_penalty=excess,
+        temporal_impact=impact,
+        multiplier=multiplier,
+        final_score=final,
+    )
 
 
 def _paired(model: Sequence[float], truth: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

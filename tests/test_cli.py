@@ -354,6 +354,37 @@ class TestMalformedInput:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize(
+        "weights",
+        [{"alpha1": 1e308, "alpha2": 1e308}, {"alpha2": 1e308}, {"delta": 1e308, "gamma": 1e308}],
+        ids=["nan", "-inf", "inf"],
+    )
+    def test_weights_overflowing_the_base_score(self, fixture_dir, tmp_path, capsys, weights,
+                                                command):
+        """Finite weights whose base score leaves the float range: a config
+        error naming the weights, and no file written."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(weights), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([command, "--in", str(fixture_dir), "--out", str(out),
+                     "--config", str(config_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "base score is" in err
+        assert all(f"{name}=1e+308" in err for name in weights)
+        assert not out.exists()
+
+    def test_deeply_nested_config_exits_without_traceback(self, tmp_path):
+        in_dir = _session_dir(tmp_path, GAZE_ROWS)
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 2000, encoding="utf-8")
+        proc = _run_cli("analyze", "--in", str(in_dir), "--out", str(tmp_path / "out"),
+                        "--config", str(config_path))
+        assert proc.returncode == EXIT_CONFIG
+        assert "nested too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("flag", ["--max-impact", "--mastery-min", "--gamma"])
     def test_non_finite_config_flag(self, fixture_dir, tmp_path, capsys, flag):
         code = main(["analyze", "--in", str(fixture_dir), "--out", str(tmp_path / "out"),

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gazescore.engagement import TemporalMetrics
 from gazescore.scoring import (
+    ETA_SOURCES,
+    LEVEL_FEATURE,
     ConfigError,
     LevelFeatures,
     ScoreBreakdown,
@@ -23,7 +27,9 @@ from gazescore.scoring import (
     psi_focus,
     temporal_impact,
     temporal_multiplier,
+    _score_terms,
 )
+import oracles
 
 TOL = 1e-9
 
@@ -122,6 +128,14 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_bytes(content)
         with pytest.raises(ConfigError):
+            ScoringConfig.from_file(path)
+
+    @pytest.mark.parametrize("text", ["[" * 2000, '{"max_impact": ' + '{"a": [' * 2000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_config_is_config_error(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="nested too deeply"):
             ScoringConfig.from_file(path)
 
     def test_from_file_missing_is_config_error(self, tmp_path):
@@ -473,6 +487,68 @@ class TestProperties:
     @given(f=feature_strategy)
     def test_constraints_hold_for_produced_breakdowns(self, f):
         assert check_constraints(final_score(f)) == []
+
+
+WEIGHTS = st.floats(0, 6)
+CAPS = st.floats(0.5, 30)
+
+
+@st.composite
+def oracle_cases(draw) -> tuple[LevelFeatures, ScoringConfig, bool]:
+    """Features, a config, and whether the base score was put on (or one
+    float beside) a multiplier breakpoint: there the base score is alpha1
+    exactly, because every other part of it is 0."""
+    f = dataclasses.replace(
+        draw(feature_strategy), aoi_time_share_pct=draw(st.floats(0, 100))
+    )
+    common = dict(
+        eta_source=draw(st.sampled_from(ETA_SOURCES)),
+        excess_period_threshold=draw(st.integers(0, 12)),
+        max_impact=draw(st.one_of(CAPS, st.fixed_dictionaries({1: CAPS, 2: CAPS, 3: CAPS}))),
+    )
+    on_breakpoint = draw(st.booleans())
+    if on_breakpoint:
+        f = dataclasses.replace(f, nsq_to_sq=1, sq_to_nsq=0, focus_aoi_pct=0.0,
+                                **{LEVEL_FEATURE[f.level]: 0})
+        point = draw(st.sampled_from([50.0, 70.0, 85.0]))
+        alpha1 = draw(st.sampled_from([math.nextafter(point, 0), point,
+                                       math.nextafter(point, math.inf)]))
+        config = ScoringConfig(alpha1=alpha1, alpha2=draw(WEIGHTS), gamma=0.0, delta=0.0,
+                               **common)
+    else:
+        config = ScoringConfig(alpha1=draw(WEIGHTS), alpha2=draw(WEIGHTS),
+                               gamma=draw(st.floats(-20, 20)), delta=draw(st.floats(-5, 5)),
+                               **common)
+    return f, config, on_breakpoint
+
+
+@settings(max_examples=300)
+@given(oracle_cases(), WEIGHTS, st.floats(-20, 20))
+def test_final_score_equals_the_one_piece_oracle(case, other_alpha, other_gamma):
+    """The split scorer gives the one-piece oracle's breakdown, sign of zero
+    included, whether it computes the weight-free terms itself or is handed
+    the terms of a config with other weights."""
+    f, config, on_breakpoint = case
+    want = oracles.final_score(f, config)
+    reweighted = dataclasses.replace(config, alpha1=other_alpha, gamma=other_gamma)
+    for got in (final_score(f, config), final_score(f, config, _score_terms(f, reweighted))):
+        for field in dataclasses.fields(ScoreBreakdown):
+            assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+    if on_breakpoint:
+        assert want.base_score == config.alpha1
+
+
+@pytest.mark.parametrize("weights", [
+    {"alpha1": 1e308, "alpha2": 1e308}, {"alpha2": 1e308}, {"delta": 1e308, "gamma": 1e308},
+])
+def test_non_finite_base_score_is_a_config_error(weights):
+    f = features(level=2, nsq_to_sq=3, sq_to_nsq=2, focus_aoi_pct=40.0, aoi_efficiency=0.5,
+                 sf_pct=60.0)
+    config = ScoringConfig(**weights)
+    with pytest.raises(ConfigError, match="base score is (nan|-?inf) under weights alpha1="):
+        final_score(f, config)
+    with pytest.raises(ConfigError):
+        final_score(f, config, _score_terms(f, config))
 
 
 class TestCheckConstraints:

@@ -2,16 +2,18 @@
 
 ``analyze_session`` keeps the config-independent part of a session's
 analysis (labels, matrices, aggregates, dwell, AoI shares, AoI runs and
-the game tally) on the session object, and the periods, temporal metrics
-and features per period setting, and runs only the rest on every call. A
-session analysed under many configs must give exactly what a fresh copy
-of it gives under each one.
+the game tally) on the session object, the periods, temporal metrics and
+features per period setting, and the weight-free score terms per setting
+of the fields they read, and runs only the rest on every call. A session
+analysed under many configs must give exactly what a fresh copy of it
+gives under each one.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from gazescore.synth import generate_table_fixture
 from gazescore.transitions import DwellSummary, TransitionMatrix
 import oracles
 from test_columnar_equivalence import MIN_DURATIONS, TOLERANCES, gap_lists, sessions
+from test_scoring import CAPS
 
 # The 16 paper configs of the rescore benchmark.
 GRID = [
@@ -147,6 +150,47 @@ def test_warm_session_analyses_like_a_fresh_one(session, config_list):
 
 
 @st.composite
+def term_configs(draw) -> list[ScoringConfig]:
+    """Configs on few settings, so that every memo key repeats and each field
+    a kept value reads takes two values under the same rest of the key: one
+    period setting under two gap tolerances, both eta sources, two excess
+    thresholds and two level caps; the weights are drawn freely."""
+    tau_min, tau_sustained, tolerance = draw(period_settings())
+    tolerances = [tolerance, draw(TOLERANCES)]
+    thresholds = [draw(st.integers(0, 3)), 8]
+    caps = [15.0, draw(st.one_of(CAPS, st.fixed_dictionaries({1: CAPS, 2: CAPS, 3: CAPS})))]
+    return [
+        ScoringConfig(
+            tau_min_ms=tau_min,
+            tau_sustained_ms=tau_sustained,
+            gap_tolerance_ms=draw(st.sampled_from(tolerances)),
+            aoi_total_changes_only=draw(st.booleans()),
+            eta_source=draw(st.sampled_from(ETA_SOURCES)),
+            excess_period_threshold=draw(st.sampled_from(thresholds)),
+            max_impact=draw(st.sampled_from(caps)),
+            alpha1=draw(st.floats(0, 6)),
+            alpha2=draw(st.floats(0, 6)),
+        )
+        for _ in range(draw(st.integers(2, 10)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_sessions(), term_configs())
+def test_kept_values_follow_every_field_they_read(session, config_list):
+    """One session object analysed under a sequence of configs gives, under
+    each, the breakdown, violations and report bytes of a fresh copy: no
+    kept period, feature, score term or report leaf serves a config whose
+    fields it does not match."""
+    for config in config_list:
+        warm = analyze_session(session, config)
+        cold = analyze_session(dataclasses.replace(session), config)
+        assert repr(warm.breakdown) == repr(cold.breakdown)
+        assert warm.violations == cold.violations
+        assert _report_bytes(warm, config) == _report_bytes(cold, config)
+
+
+@st.composite
 def covering_configs(draw) -> list[ScoringConfig]:
     """Configs with both AoI switch values and both eta sources, and a few
     drawn freely, in a drawn order."""
@@ -211,6 +255,69 @@ def test_periods_computed_once_per_period_setting(session, monkeypatch):
             assert getattr(analysis, name) is getattr(seen, name), name
     assert len(first) == 4
     assert sorted(calls) == ["select_periods"] * 4 + ["temporal_metrics"] * 4
+
+
+def test_score_terms_computed_once_per_setting(session, monkeypatch):
+    """The 16 configs hold 4 settings of the weight-free score terms: each is
+    computed once and shared, while the weighted step runs on every call
+    under the name ``pipeline.final_score``, which the benchmark's tracer
+    wraps."""
+    terms, scored = [], []
+    make_terms, score = pipeline._score_terms, pipeline.final_score
+    monkeypatch.setattr(pipeline, "_score_terms",
+                        lambda *args: terms.append(args) or make_terms(*args))
+    monkeypatch.setattr(pipeline, "final_score",
+                        lambda *args: scored.append(args) or score(*args))
+    for config in GRID:
+        analyze_session(session, config)
+    assert len(terms) == 4 and len(scored) == 16
+    kept = {_period_key(config): args[2] for config, args in zip(GRID, scored)}
+    assert all(args[2] is kept[_period_key(args[1])] for args in scored)
+
+
+_TERM_NAMES = ("level_bonus", "focus_score", "engagement_bonus", "sustained_bonus",
+               "duration_bonus", "excess_penalty", "temporal_impact")
+
+
+def _oracle_report(analysis: SessionAnalysis, config: ScoringConfig) -> str:
+    return json.dumps({"student_id": "s", "levels": [oracles.level_block(analysis, config)],
+                       "validation": None}, indent=2)
+
+
+def test_report_leaves_follow_the_analysis_not_the_config(session):
+    """An analysis reported under another config than its own (another period
+    setting and other weights) gets its own temporal and score leaves, even
+    once the other config's leaves are kept."""
+    own = ScoringConfig()
+    other = ScoringConfig(tau_min_ms=300, tau_sustained_ms=9000, alpha1=2.0, alpha2=1.0)
+    analysis, reported = analyze_session(session, own), analyze_session(session, other)
+    assert analysis.temporal != reported.temporal
+    assert analysis.breakdown.sustained_bonus != reported.breakdown.sustained_bonus
+    for config in (other, own):
+        build_report("s", [analyze_session(session, config)], None, config)  # leaves kept
+    got = build_report("s", [analysis], None, other)
+    assert json.dumps(got, indent=2) == _oracle_report(analysis, other)
+
+
+def test_report_writes_the_sign_of_a_zero_term(session):
+    """A kept leaf serves only the very term objects it was rounded from: a
+    breakdown whose 0.0 terms are replaced by -0.0, which compare equal,
+    writes -0.0 as the oracle does."""
+    config = ScoringConfig()
+    analysis = analyze_session(session, config)
+    build_report("s", [analysis], None, config)
+    b = analysis.breakdown
+    zeros = [name for name in _TERM_NAMES
+             if getattr(b, name) == 0 and math.copysign(1, getattr(b, name)) > 0]
+    assert zeros
+    zeroed = dataclasses.replace(
+        analysis, breakdown=dataclasses.replace(b, **dict.fromkeys(zeros, -0.0))
+    )
+    got = json.dumps(build_report("s", [zeroed], None, config), indent=2)
+    assert got == _oracle_report(zeroed, config)
+    assert got.count(": -0.0") == len(zeros)
+    assert json.dumps(build_report("s", [analysis], None, config), indent=2) == _oracle_report(
+        analysis, config)
 
 
 def test_aoi_metrics_computed_with_the_facts(session, monkeypatch):

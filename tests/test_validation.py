@@ -13,6 +13,7 @@ from gazescore.ingest import GameEvent
 from gazescore.scoring import ScoringConfig
 from gazescore.validation import (
     GamePerformance,
+    ValidationReport,
     classify_assessment,
     game_accuracy,
     mae,
@@ -277,6 +278,14 @@ class TestValidateScores:
         assert report.n == 3
         assert report.mae_pct <= report.rmse_pct
         assert report.spearman_rho == 0.5
+
+    @given(paired_series(1, 12))
+    def test_record_equals_the_checked_one(self, pair):
+        """The record, built without ``__init__``, equals and prints as the one
+        the constructor builds from the same fields."""
+        report = validate_scores(*pair)
+        checked = ValidationReport(**vars(report))
+        assert report == checked and repr(report) == repr(checked)
 
     def test_single_pair_correlations_undefined(self):
         report = validate_scores([50.0], [40.0])
