@@ -41,7 +41,8 @@ CSV_HEADER = [
 
 VALID_LEVELS = (1, 2, 3)
 
-MAX_ABS_TIMESTAMP_MS = 2**62
+# Every whole number of ms below it is exact in float64 (and in int64).
+MAX_ABS_TIMESTAMP_MS = 2**53
 
 EVENT_KINDS_SCORED = ("mouse_click", "answer")
 
@@ -212,9 +213,12 @@ class LevelSession:
     ``samples`` may be given as a ``GazeSample`` sequence; it is stored
     as ``SampleColumns``. Samples (stable for ties), events and placements
     are stored in time order, the latter two as tuples, whatever order they
-    come in; every stage relies on it. Analyses keep what they compute from
-    the session alone on the instance, outside the fields (``_memo``);
-    ``dataclasses.replace`` gives a new instance with nothing kept.
+    come in; every stage relies on it. Analyses and reports keep what they
+    compute on the instance, outside the fields (``_memo``), under three
+    kinds of key: ``"facts"`` (``pipeline.session_facts``), one
+    ``pipeline._terms_key`` per scoring setting and one report key per set
+    of source objects (``report._level_block``). ``dataclasses.replace``
+    gives a new instance with nothing kept.
     """
 
     student_id: str
@@ -426,10 +430,11 @@ def _kept(
     """
     width = len(CSV_HEADER)
     t = np.array(_timestamp_values(ts_cells), dtype=np.float64)
-    # False for NaN and infinities. The range keeps every normalized time and
-    # time difference inside the int64 columns of the analysis.
+    # False for NaN and infinities. In range, every whole ms is exact and
+    # the fraction t - floor(t) is too, so the half-up rounding is exact.
     usable = np.abs(t) < MAX_ABS_TIMESTAMP_MS
-    t_ms = np.floor(np.where(usable, t, 0.0) + 0.5).astype(np.int64)
+    whole = np.floor(np.where(usable, t, 0.0))
+    t_ms = (whole + (t - whole >= 0.5)).astype(np.int64)
 
     for i, row in visits:
         if len(row) != width:

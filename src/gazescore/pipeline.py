@@ -120,18 +120,6 @@ def _facts(session: LevelSession) -> SessionFacts:
     return facts
 
 
-def _periods(
-    facts: SessionFacts, config: ScoringConfig
-) -> tuple[tuple[EngagementPeriod, ...], TemporalMetrics]:
-    periods = tuple(select_periods(
-        facts.runs,
-        min_duration_ms=config.tau_min_ms,
-        sustained_ms=config.tau_sustained_ms,
-        gap_tolerance_ms=config.gap_tolerance_ms,
-    ))
-    return periods, temporal_metrics(periods, facts.dwell.session_duration_ms)
-
-
 @dataclass(frozen=True, eq=False)
 class SessionAnalysis(SessionFacts):
     """Everything derived from one level session: its ``SessionFacts``,
@@ -155,11 +143,11 @@ class SessionAnalysis(SessionFacts):
 
 
 def _terms_key(config: ScoringConfig, level: int) -> tuple:
-    """The key under which a level session keeps its weight-free score
-    terms: ``tau_min_ms``, ``tau_sustained_ms`` and ``gap_tolerance_ms``
-    (the period key), ``aoi_total_changes_only`` (the first four are the
-    features' key), ``eta_source``, ``excess_period_threshold`` and the
-    level's ``max_impact``."""
+    """The setting of every field a level session's periods, temporal
+    metrics, features and weight-free score terms read: ``tau_min_ms``,
+    ``tau_sustained_ms``, ``gap_tolerance_ms``, ``aoi_total_changes_only``,
+    ``eta_source``, ``excess_period_threshold`` and the level's
+    ``max_impact``."""
     return (
         config.tau_min_ms, config.tau_sustained_ms, config.gap_tolerance_ms,
         config.aoi_total_changes_only, config.eta_source,
@@ -167,15 +155,17 @@ def _terms_key(config: ScoringConfig, level: int) -> tuple:
     )
 
 
-def _scoring_inputs(session, facts, aoi_stats, key, config) -> tuple:
+def _setting(session, facts, aoi_stats, config) -> tuple:
     """The periods, temporal metrics, features and weight-free score terms
-    under one ``_terms_key``: the periods and temporal metrics come from the
-    entry of its period key, the features from that of its first four
-    fields."""
-    periods, temporal = _memo(session, key[:3], lambda: _periods(facts, config))
-    features = _memo(session, key[:4], lambda: _adopt(
-        LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal)
+    of a session under the setting ``_terms_key`` gives for ``config``."""
+    periods = tuple(select_periods(
+        facts.runs,
+        min_duration_ms=config.tau_min_ms,
+        sustained_ms=config.tau_sustained_ms,
+        gap_tolerance_ms=config.gap_tolerance_ms,
     ))
+    temporal = temporal_metrics(periods, facts.dwell.session_duration_ms)
+    features = _adopt(LevelFeatures, _feature_fields(session, facts, aoi_stats, temporal))
     return periods, temporal, features, _score_terms(features, config)
 
 
@@ -185,18 +175,17 @@ def analyze_session(
     """Run the full pipeline on one session and return every artifact.
 
     The config-independent stages run once per session object
-    (``session_facts``). The rest is kept on the session per setting of the
-    fields it reads (``_terms_key``): the periods and their temporal metrics
-    per period key, the features per that key and the AoI switch, and the
-    weight-free score terms per the whole key. A call whose setting the
-    session has seen runs only the weighted step of ``final_score`` and
-    ``check_constraints``.
+    (``session_facts``). The periods, temporal metrics, features and
+    weight-free score terms are kept on the session as one entry per
+    setting of the fields they read (``_terms_key``), so a call whose
+    setting the session has seen runs only the weighted step of
+    ``final_score`` and ``check_constraints``.
     """
     facts = session_facts(session)
-    key = _terms_key(config, session.level)
     aoi_stats = facts.aoi_changes if config.aoi_total_changes_only else facts.aoi_pairs
     periods, temporal, features, terms = _memo(
-        session, key, lambda: _scoring_inputs(session, facts, aoi_stats, key, config)
+        session, _terms_key(config, session.level),
+        lambda: _setting(session, facts, aoi_stats, config),
     )
     breakdown = final_score(features, config, terms)
     violations = check_constraints(breakdown, facts.dwell_share_sum, config)

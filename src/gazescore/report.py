@@ -12,14 +12,14 @@ import heapq
 import os
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, is_
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .ingest import CSV_HEADER, LevelSession, _memo
-from .pipeline import AoiMetrics, SessionAnalysis, _terms_key
+from .pipeline import SessionAnalysis
 from .validation import ValidationReport, classify_assessment
 from .scoring import ScoringConfig
 from .spatial import AOI_ORDER, QUADRANT_ORDER
@@ -47,44 +47,53 @@ def _ratio(value: float | None) -> float | None:
     return None if value is None else round(float(value), 4)
 
 
-def _transition_leaves(analysis: SessionAnalysis, aoi: AoiMetrics) -> dict:
-    return {
-        "nsq_to_sq": analysis.aggregates.nsq_to_sq,
-        "sq_to_nsq": analysis.aggregates.sq_to_nsq,
-        "nsq_to_nsq": analysis.aggregates.nsq_to_nsq,
-        "sq_to_sq": analysis.aggregates.sq_to_sq,
-        "total": analysis.aggregates.total,
-        "aoi_switches": aoi.left_right_transitions,
-        "aoi_balance": _ratio(aoi.balance),
-        "aoi_efficiency": _ratio(aoi.efficiency),
-        "fixations_left": aoi.fixations_left,
-        "fixations_right": aoi.fixations_right,
-        # time_in_quadrant is in QUADRANT_ORDER (DwellSummary).
-        "dwell_ms": dict(zip(_QUADRANT_NAMES, analysis.dwell.time_in_quadrant.values())),
-        "session_duration_ms": analysis.dwell.session_duration_ms,
-        "stimuli_focus_pct": _pct(analysis.dwell.stimuli_focus_pct),
-        "focus_aoi_pct": _pct(analysis.focus_aoi_pct),
-        "aoi_time_share_pct": _pct(analysis.aoi_time_share_pct),
-    }
-
-
 # The weight-free terms of a ScoreBreakdown, in report order.
 _TERM_NAMES = (
     "level_bonus", "focus_score", "engagement_bonus", "sustained_bonus",
     "duration_bonus", "excess_penalty", "temporal_impact",
 )
 _terms_of = attrgetter(*_TERM_NAMES)
+# The objects a level block's weight-free leaves are rounded from: these
+# fields of the analysis, then the weight-free terms of its breakdown.
+_sources_of = attrgetter("aggregates", "aoi", "dwell", "focus_aoi_pct", "aoi_time_share_pct",
+                         "game", "temporal")
 
 
-def _term_leaves(temporal, terms: tuple) -> tuple[dict, dict]:
-    """The rounded ``temporal`` block and weight-free ``score`` leaves."""
+def _leaves(aggregates, aoi, dwell, focus_aoi_pct, aoi_time_share_pct, game, temporal, *terms):
+    """The rounded leaves of a level block that no weight changes: the
+    ``transitions`` leaves after the matrices, the ``temporal`` block, the
+    weight-free ``score`` leaves and the ``game`` block."""
     return {
+        "nsq_to_sq": aggregates.nsq_to_sq,
+        "sq_to_nsq": aggregates.sq_to_nsq,
+        "nsq_to_nsq": aggregates.nsq_to_nsq,
+        "sq_to_sq": aggregates.sq_to_sq,
+        "total": aggregates.total,
+        "aoi_switches": aoi.left_right_transitions,
+        "aoi_balance": _ratio(aoi.balance),
+        "aoi_efficiency": _ratio(aoi.efficiency),
+        "fixations_left": aoi.fixations_left,
+        "fixations_right": aoi.fixations_right,
+        # time_in_quadrant is in QUADRANT_ORDER (DwellSummary).
+        "dwell_ms": dict(zip(_QUADRANT_NAMES, dwell.time_in_quadrant.values())),
+        "session_duration_ms": dwell.session_duration_ms,
+        "stimuli_focus_pct": _pct(dwell.stimuli_focus_pct),
+        "focus_aoi_pct": _pct(focus_aoi_pct),
+        "aoi_time_share_pct": _pct(aoi_time_share_pct),
+    }, {
         "eta_temporal": _ratio(temporal.eta_temporal),
         "mu_engagement_ms": _score(temporal.mu_engagement_ms),
         "sigma_sustained": _ratio(temporal.sigma_sustained),
         "period_count": temporal.period_count,
         "sustained_count": temporal.sustained_count,
-    }, dict(zip(_TERM_NAMES, map(_score, terms)))
+    }, dict(zip(_TERM_NAMES, map(_score, terms))), None if game.total_events == 0 else {
+        "correct_clicks": game.correct_clicks,
+        "total_clicks": game.total_clicks,
+        "correct_answers": game.correct_answers,
+        "total_answers": game.total_answers,
+        "total_events": game.total_events,
+        "accuracy_pct": _pct(game.accuracy_pct),
+    }
 
 
 def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
@@ -95,36 +104,19 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
     )
     category, calibration = classify_assessment(b.final_score, diff, config)
     session = analysis.session
-    # Built once per session: transitions leaves (AoI switch off, on) and game.
-    leaves = _memo(session, "report", lambda: (
-        _transition_leaves(analysis, analysis.aoi_pairs),
-        _transition_leaves(analysis, analysis.aoi_changes),
-        None if game.total_events == 0 else {
-            "correct_clicks": game.correct_clicks,
-            "total_clicks": game.total_clicks,
-            "correct_answers": game.correct_answers,
-            "total_answers": game.total_answers,
-            "total_events": game.total_events,
-            "accuracy_pct": _pct(game.accuracy_pct),
-        },
-    ))
-    transitions = leaves[analysis.aoi is analysis.aoi_changes]
-    # Built once per setting of the weight-free terms. The entry holds the
-    # objects it was rounded from, and serves only an analysis holding those
-    # very objects: ``config`` may not be the analysis's own, and equal
-    # floats may round apart (0.0 and -0.0).
-    temporal, terms = analysis.temporal, _terms_of(b)
-    kept = _memo(session, ("report", *_terms_key(config, session.level)),
-                 lambda: (temporal, terms, *_term_leaves(temporal, terms)))
-    if kept[0] is temporal and all(map(is_, kept[1], terms)):
-        temporal_leaves, score_leaves = kept[2:]
-    else:
-        temporal_leaves, score_leaves = _term_leaves(temporal, terms)
+    # Kept on the session per set of source objects, keyed by their ids. The
+    # entry holds its sources, so no id in its key is reused while it lives:
+    # it serves exactly the analyses that hold those very objects (equal
+    # floats may round apart: 0.0 and -0.0).
+    sources = (*_sources_of(analysis), *_terms_of(b))
+    _, transitions, temporal, score, game_leaves = _memo(
+        session, ("report", *map(id, sources)), lambda: (sources, *_leaves(*sources))
+    )
     return {
         "level": session.level,
         "score": {
             "base_score": _score(b.base_score),
-            **score_leaves,
+            **score,
             "multiplier": b.multiplier,
             "final_score": _score(b.final_score),
         },
@@ -136,8 +128,8 @@ def _level_block(analysis: SessionAnalysis, config: ScoringConfig) -> dict:
             **transitions,  # with a fresh dwell_ms, as every container is
             "dwell_ms": dict(transitions["dwell_ms"]),
         },
-        "temporal": dict(temporal_leaves),
-        "game": leaves[2] and dict(leaves[2]),
+        "temporal": dict(temporal),
+        "game": game_leaves and dict(game_leaves),
         "assessment": {
             "performance": category,
             "calibration": calibration,
@@ -153,7 +145,10 @@ def build_report(
     validation: ValidationReport | None,
     config: ScoringConfig = ScoringConfig(),
 ) -> dict:
-    """Report document for one student; validation is None below 2 pairs."""
+    """Report document for one student; validation is None below 2 pairs.
+
+    Every leaf comes from the analyses; ``config`` only picks the
+    assessment labels."""
     doc = {
         "student_id": student_id,
         "levels": [

@@ -62,7 +62,10 @@ def _as_max_impact(value) -> Mapping[int, float]:
         level = _LEVEL_KEYS.get(key) if type(key) in (int, str) else None
         if level is None or level in mapping:
             raise ConfigError(f"max_impact key {key!r} must name level 1, 2 or 3 once")
-        mapping[level] = float(bound)
+        try:
+            mapping[level] = float(bound)
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(f"max_impact for level {level} is beyond the float range") from None
     missing = [level for level in VALID_LEVELS if level not in mapping]
     if missing:
         raise ConfigError(f"max_impact missing levels {missing}")
@@ -101,8 +104,15 @@ class ScoringConfig:
                 raise ConfigError(f"{f.name} must be true or false, got {value!r}")
             if f.type != "bool" and isinstance(value, bool):
                 raise ConfigError(f"{f.name} must not be a boolean, got {value}")
-            if f.type in ("int", "float") and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type in ("int", "float"):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int beyond the float range
+                    raise ConfigError(f"{f.name} is beyond the float range") from None
+                if not finite:
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type == "float":  # so that no int product overflows a float later
+                object.__setattr__(self, f.name, float(value))
             if f.type == "int" and value != int(value):
                 raise ConfigError(f"{f.name} must be a whole number, got {value}")
         if self.alpha1 < 0 or self.alpha2 < 0:
@@ -152,7 +162,7 @@ def read_config_json(path: str | Path) -> dict:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int of over 4 300 digits
         raise ConfigError(f"bad JSON in {path}: {exc}") from exc
     except RecursionError:
         raise ConfigError(f"bad JSON in {path}: nested too deeply") from None

@@ -5,6 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# A failing property prints its ``@reproduce_failure`` line, so that a CI
+# log holds what it takes to replay a failure that a shrunk example alone
+# does not reproduce (a sequence of configs on one session object, say).
+settings.register_profile("gazescore", print_blob=True)
+settings.load_profile("gazescore")
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -34,7 +35,6 @@ from gazescore.engagement import EngagementPeriod
 from gazescore.ingest import (
     CSV_HEADER,
     EVENT_KINDS_SCORED,
-    MAX_ABS_TIMESTAMP_MS,
     VALID_LEVELS,
     CoordinateParseError,
     GameEvent,
@@ -292,7 +292,14 @@ def normalize_timestamps(samples: Sequence[GazeSample]) -> list[GazeSample]:
     return [replace(s, t_ms=s.t_ms - offset) for s in samples]
 
 
+# The loader's timestamp limit, 2**53 ms, written out: every whole number of
+# ms below it is a float64.
+_TIMESTAMP_LIMIT_MS = 9_007_199_254_740_992
+
+
 def _parse_timestamp(text: str) -> int | None:
+    """The float the text reads as, rounded half up exactly (as a fraction),
+    or None when it is no number or not below the limit in magnitude."""
     text = text.strip()
     if not text:
         return None
@@ -300,7 +307,9 @@ def _parse_timestamp(text: str) -> int | None:
         value = float(text)
     except ValueError:
         return None
-    return int(math.floor(value + 0.5)) if abs(value) < MAX_ABS_TIMESTAMP_MS else None
+    if not abs(value) < _TIMESTAMP_LIMIT_MS:
+        return None
+    return math.floor(Fraction(value) + Fraction(1, 2))
 
 
 def _parse_bool(text: str) -> bool | None:
@@ -648,8 +657,8 @@ def level_block(analysis, config) -> dict:
             "dwell_ms": dict(zip(quadrant_names, analysis.dwell.time_in_quadrant.values())),
             "session_duration_ms": analysis.dwell.session_duration_ms,
             "stimuli_focus_pct": _pct(analysis.dwell.stimuli_focus_pct),
-            "focus_aoi_pct": _pct(analysis.features.focus_aoi_pct),
-            "aoi_time_share_pct": _pct(analysis.features.aoi_time_share_pct),
+            "focus_aoi_pct": _pct(analysis.focus_aoi_pct),
+            "aoi_time_share_pct": _pct(analysis.aoi_time_share_pct),
         },
         "temporal": {
             "eta_temporal": _ratio(analysis.temporal.eta_temporal),

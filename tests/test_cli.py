@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gazescore import cli
 from gazescore.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
@@ -392,6 +393,40 @@ class TestMalformedInput:
         assert code == EXIT_CONFIG
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            ('{"alpha1": 1%s}' % ("0" * 400), "alpha1"),
+            ('{"alpha1": 1%s}' % ("0" * 308), "alpha1"),  # in range, but its products are not
+            ('{"tau_sustained_ms": 1%s}' % ("0" * 400), "tau_sustained_ms"),
+            ('{"max_impact": 1%s}' % ("0" * 400), "max_impact"),
+            ('{"max_impact": {"1": 5, "2": 1%s, "3": 5}}' % ("0" * 400), "max_impact"),
+            ('{"gamma": 1%s}' % ("0" * 4400), "config.json"),
+        ],
+        ids=["401-digits", "309-digits", "int-field", "max-impact", "max-impact-level",
+             "4401-digits"],
+    )
+    def test_huge_config_integer(self, fixture_dir, tmp_path, capsys, content, named):
+        """An integer beyond the float range is a config error naming the
+        field, and one beyond the JSON reader's digit limit names the file."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["analyze", "--in", str(fixture_dir), "--out", str(out),
+                     "--config", str(config_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
+    def test_huge_integer_flag(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["analyze", "--in", str(fixture_dir), "--out", str(out),
+                     "--tau-min-ms", "1" + "0" * 400])
+        assert code == EXIT_CONFIG
+        assert "tau_min_ms" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_json_exits_without_traceback(self, tmp_path):
         in_dir = _session_dir(tmp_path, GAZE_ROWS)
         config_path = tmp_path / "config.json"
@@ -643,3 +678,99 @@ def test_synth_failure_exit_codes(tmp_path, flags, code):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
     assert not (tmp_path / "out").exists()
+
+
+# JSON value texts at the edges of what a config holds: floats near the
+# float limit, ints past it and past the JSON reader's 4 300-digit limit,
+# bools, null, strings, the NaN tokens and deep nesting.
+_DIGITS = st.sampled_from("19")
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 3000).map(str),
+    st.integers(0, 30).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(1e307, 1.7976931348623157e308).map(lambda v: repr(v) if v % 2 else repr(-v)),
+    st.builds(str.__mul__, _DIGITS, st.integers(309, 330)),
+    st.builds(str.__mul__, _DIGITS, st.integers(4301, 4400)),
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity",
+                     '"temporal"', '"aoi_dwell"', '"x"', '{"1": 5, "2": 5, "3": 5}']),
+    st.integers(1, 3000).map(lambda n: "[" * n + "]" * n),
+)
+# Flag texts: the same edges as argv holds them.
+FLAG_VALUES = st.one_of(
+    st.integers(0, 3000).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "abc", "true", "0.5"]),
+    st.builds(str.__mul__, _DIGITS, st.integers(309, 330)),
+    st.builds(str.__mul__, _DIGITS, st.integers(4301, 4400)),
+)
+FIELD_NAMES = [f.name for f in fields(ScoringConfig)]
+
+
+@st.composite
+def config_texts(draw) -> str:
+    keys = draw(st.lists(st.sampled_from([*FIELD_NAMES, "unknown"]), max_size=4, unique=True))
+    body = ", ".join(f'"{key}": {draw(CONFIG_VALUES)}' for key in keys)
+    # One text in four is a bare value, which no config may be.
+    return f"{{{body}}}" if draw(st.integers(0, 3)) else draw(CONFIG_VALUES)
+
+
+@st.composite
+def flag_lists(draw) -> list[str]:
+    argv = []
+    for f in draw(st.lists(st.sampled_from(fields(ScoringConfig)), max_size=3, unique=True)):
+        argv.append(_flag(f.name))
+        if f.type != "bool":
+            argv.append(draw(FLAG_VALUES if f.type != "str" else st.sampled_from(["x", "temporal"])))
+    return argv
+
+
+def _refuse(token: str):
+    raise ValueError(f"report holds {token}")
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    """Two short levels with a placement, engagement and events."""
+    root = tmp_path_factory.mktemp("tiny")
+    rows = (['0,,"(480, 810)",300,300,,']
+            + [f'{t},"(480, 810)",,,,,' for t in range(0, 800, 16)]
+            + [f'{t},"(1500, 100)",,,,,' for t in range(800, 1200, 16)]
+            + ["900,,,,,answer,true", "1000,,,,,mouse_click,false"])
+    in_dir = root / "in"
+    in_dir.mkdir()
+    for level in (1, 2):
+        (in_dir / f"S1_level{level}.csv").write_text(
+            "\n".join([",".join(CSV_HEADER), *rows]) + "\n", encoding="utf-8")
+    return root
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.none() | config_texts(), flags=flag_lists())
+def test_analyze_exits_with_a_documented_code(tiny_dir, capsys, config, flags):
+    """Any config text and scoring flags end in a documented exit code with
+    no traceback; on success every report is strict JSON with final scores
+    in [0, 100]."""
+    out = tiny_dir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = ["analyze", "--in", str(tiny_dir / "in"), "--out", str(out), *flags]
+    if config is not None:
+        (tiny_dir / "config.json").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tiny_dir / "config.json")]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4, 5) and "Traceback" not in err, err
+    if code == EXIT_OK:
+        reports = list(out.glob("report_*.json"))
+        assert reports
+        for path in reports:
+            report = json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse)
+            assert all(0 <= level["score"]["final_score"] <= 100 for level in report["levels"])
+
+
+def test_failing_properties_print_their_blob():
+    """``conftest.py`` loads a profile that prints ``@reproduce_failure``."""
+    assert settings().print_blob

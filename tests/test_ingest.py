@@ -292,6 +292,23 @@ class TestLoadLevelCsv:
         assert [s.t_ms for s in session.samples] == [0, 32]
         assert session.dropped_samples == 1
 
+    def test_timestamps_from_two_to_the_53_dropped(self, tmp_path):
+        """From 2**53 ms a float64 no longer holds every whole ms: such
+        readings are dropped and counted, not rounded onto each other."""
+        path = tmp_path / "s1_level1.csv"
+        _write(path, _gaze_rows([(2**60 + 16 * i, "(11, 21)") for i in range(10)]))
+        session = load_level_csv(path, 1, "s1")
+        assert len(session.samples) == 0 and session.dropped_samples == 10
+
+    @pytest.mark.parametrize("step", [16, 15])
+    def test_timestamps_below_two_to_the_53_exact(self, tmp_path, step):
+        """Odd and even whole ms just below the limit keep their distances."""
+        path = tmp_path / "s1_level1.csv"
+        _write(path, _gaze_rows([(2**53 - 1 - step * i, "(11, 21)") for i in range(10)]))
+        session = load_level_csv(path, 1, "s1")
+        assert session.samples.t_ms.tolist() == [step * i for i in range(10)]
+        assert session.dropped_samples == 0
+
     @pytest.mark.parametrize("stamp", ["inf", "-inf", "1e19"])
     @pytest.mark.parametrize("row", [',,"(480, 810)",200,150,,', ",,,,,answer,true"])
     def test_non_finite_placement_or_event_timestamp(self, tmp_path, stamp, row):

@@ -40,7 +40,10 @@ NUMBERS = st.sampled_from(
 TIMESTAMPS = st.one_of(
     st.integers(-3, 30).map(str),
     st.sampled_from(["", " ", "7.5", "10.49", " 12 ", "inf", "-inf", "nan", "1e19",
-                     "-4.7e18", "abc", "\x1c3", "3\x1c", "1_0", "2e1"]),
+                     "-4.7e18", "abc", "\x1c3", "3\x1c", "1_0", "2e1",
+                     # Around the limit of 2**53 ms and the float64 ulp of 1 ms.
+                     "9007199254740991", "9007199254740992", "-9007199254740991",
+                     "4503599627370497", "4503599627370496.5", "0.49999999999999994"]),
 )
 GAZE = st.one_of(
     st.builds(lambda x, y: f"({x}, {y})", NUMBERS, NUMBERS),

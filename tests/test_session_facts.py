@@ -2,11 +2,12 @@
 
 ``analyze_session`` keeps the config-independent part of a session's
 analysis (labels, matrices, aggregates, dwell, AoI shares, AoI runs and
-the game tally) on the session object, the periods, temporal metrics and
-features per period setting, and the weight-free score terms per setting
-of the fields they read, and runs only the rest on every call. A session
-analysed under many configs must give exactly what a fresh copy of it
-gives under each one.
+the game tally) on the session object, and one entry per setting of the
+fields the weight-free score terms read (``pipeline._terms_key``): the
+periods, temporal metrics, features and terms. ``build_report`` keeps one
+entry of rounded leaves per set of objects they are rounded from, keyed by
+identity. A session analysed and reported under many configs must give
+exactly what a fresh copy of it gives under each one.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from gazescore.scoring import ETA_SOURCES, LevelFeatures, ScoringConfig
 from gazescore.spatial import OUTSIDE_CODE, Quadrant
 from gazescore.synth import generate_table_fixture
 from gazescore.transitions import DwellSummary, TransitionMatrix
+from gazescore.validation import GamePerformance
 import oracles
 from test_columnar_equivalence import MIN_DURATIONS, TOLERANCES, gap_lists, sessions
 from test_scoring import CAPS
@@ -146,7 +148,8 @@ def test_warm_session_analyses_like_a_fresh_one(session, config_list):
         cold = analyze_session(dataclasses.replace(session), config)
         _assert_same_analysis(warm, cold)
         assert _report_bytes(warm, config) == _report_bytes(cold, config)
-        assert warm.periods is periods.setdefault(_period_key(config), warm.periods)
+        assert warm.periods is periods.setdefault(
+            pipeline._terms_key(config, session.level), warm.periods)
 
 
 @st.composite
@@ -320,6 +323,54 @@ def test_report_writes_the_sign_of_a_zero_term(session):
         analysis, config)
 
 
+def _replaced_sources(analysis: SessionAnalysis) -> dict[str, object]:
+    """Per source field of the report leaves, a value other than the
+    analysis's own."""
+    b, dwell = analysis.breakdown, analysis.dwell
+    return {
+        "dwell": DwellSummary(
+            dict(zip(dwell.time_in_quadrant, [1, 2, 3, 4])), 10, 100 - dwell.stimuli_focus_pct
+        ),
+        "aggregates": dataclasses.replace(
+            analysis.aggregates, nsq_to_sq=analysis.aggregates.nsq_to_sq + 7
+        ),
+        "aoi": dataclasses.replace(analysis.aoi, balance=0.123, fixations_left=99),
+        "game": GamePerformance(1, 2, 3, 4, 6, 12.5),
+        "focus_aoi_pct": 100 - analysis.focus_aoi_pct,
+        "aoi_time_share_pct": 100 - analysis.aoi_time_share_pct,
+        "temporal": dataclasses.replace(analysis.temporal, eta_temporal=0.5, period_count=41),
+        "breakdown": dataclasses.replace(b, focus_score=b.focus_score + 1.25),
+    }
+
+
+def test_report_leaves_follow_each_source_object(session):
+    """Once an analysis is reported, an analysis with any one source of the
+    kept leaves replaced gets the leaves of its own sources."""
+    config = ScoringConfig()
+    analysis = analyze_session(session, config)
+    build_report("s", [analysis], None, config)
+    for name, value in _replaced_sources(analysis).items():
+        assert getattr(analysis, name) != value, name
+        replaced = dataclasses.replace(analysis, **{name: value})
+        got = json.dumps(build_report("s", [replaced], None, config), indent=2)
+        assert got == _oracle_report(replaced, config), name
+        assert got != _oracle_report(analysis, config), name
+
+
+def test_sixteen_configs_keep_four_settings_and_four_report_entries(session):
+    """A session keeps its facts, one entry per setting of the weight-free
+    score terms and one report entry per set of source objects: the 16
+    configs, analysed and reported twice, hold 4 of each."""
+    for _ in range(2):
+        for config in GRID:
+            build_report("s", [analyze_session(session, config)], None, config)
+    keys = vars(session)["_memo"].keys()
+    setting_keys = {pipeline._terms_key(config, session.level) for config in GRID}
+    reports = [key for key in keys if key[0] == "report"]
+    assert len(setting_keys) == len(reports) == 4
+    assert keys == {"facts", *setting_keys, *reports}
+
+
 def test_aoi_metrics_computed_with_the_facts(session, monkeypatch):
     calls = []
     metrics = pipeline.aoi_metrics
@@ -374,7 +425,7 @@ def test_feature_checks_run_once_per_session(session, monkeypatch):
 
 def test_replace_gets_fresh_facts(session):
     """A replaced session keeps nothing, so it computes its own facts and
-    periods; analyses of one session under one period key share one
+    periods; analyses of one session under one setting share one
     ``periods`` tuple."""
     placed = analyze_session(session)
     assert np.any(placed.aoi_labels != OUTSIDE_CODE) and placed.periods

@@ -150,6 +150,7 @@ class TestProfileErrors:
             ({"duration_ms": (MAX_PROFILE_ITEMS + 1) * 16}, "at most"),
             ({"n_clicks": 10**9}, "at most"),
             ({"n_clicks": MAX_PROFILE_ITEMS, "n_answers": 1}, "at most"),
+            ({"duration_ms": 2**53 + 1, "sample_interval_ms": 2**40}, "at most 9007199254740992"),
         ],
     )
     def test_out_of_range_fields(self, kwargs, match):
